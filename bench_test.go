@@ -8,6 +8,7 @@ package hpl_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hpl/internal/causality"
@@ -614,9 +615,12 @@ func BenchmarkAblationVectorizedEval(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPartitionTable compares the dense interned partition
-// table against the string-keyed projection map it replaced: build the
-// class structure for {q}, then resolve every member's class.
+// BenchmarkAblationPartitionTable compares the dense partition table,
+// keyed by per-process projection hashes, against a string-keyed
+// projection map: build the class structure for {q}, then resolve every
+// member's class. The table's projection-hash lanes are built once per
+// universe, so after the first iteration the partition arm measures the
+// class pass alone; BenchmarkPartitionBuild measures a first build.
 func BenchmarkAblationPartitionTable(b *testing.B) {
 	u := ablationUniverseLarge(b)
 	p := trace.Singleton("q")
@@ -650,6 +654,28 @@ func BenchmarkAblationPartitionTable(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPartitionBuild measures a universe's first partition build
+// — the per-process projection-hash pass plus the class table — for a
+// singleton P and for P = D on the large ablation universe. Each
+// iteration partitions a freshly enumerated universe, with enumeration
+// and a GC off the clock, so no per-universe cache carries over.
+func BenchmarkPartitionBuild(b *testing.B) {
+	for _, p := range []trace.ProcSet{trace.Singleton("q"), trace.NewProcSet("p", "q", "r")} {
+		b.Run("P="+p.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				u := ablationUniverseLarge(b)
+				runtime.GC()
+				b.StartTimer()
+				if pt := universe.NewPartition(u, p); pt.Len() != u.Len() {
+					b.Fatalf("partition covers %d of %d members", pt.Len(), u.Len())
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkTransitionGraph measures building the prefix-extension

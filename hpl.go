@@ -158,7 +158,10 @@ func WithProgress(fn func(EnumProgress)) EnumOption { return universe.WithProgre
 
 // WithHashVerify makes the engine verify every 128-bit dedup hash hit
 // against full canonical keys, failing with universe.ErrHashCollision
-// on a mismatch. A debug option: collisions have probability ~2^-128.
+// on a mismatch, and makes every partition build of the universe check
+// its projection-hash classes against projection keys, panicking with
+// universe.ErrHashCollision on a mismatch. A debug option: collisions
+// have probability ~2^-128.
 func WithHashVerify() EnumOption { return universe.WithHashVerify() }
 
 // Trace accumulates named per-phase wall times for a build (frontier

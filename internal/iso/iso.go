@@ -40,15 +40,16 @@ func Reachable(u *universe.Universe, x *trace.Computation, sets []trace.ProcSet)
 	for _, p := range sets[1:] {
 		next := make(map[int]struct{})
 		// Classes are shared by all their members: expanding one member
-		// of a class expands them all, so dedupe by class key.
-		seenClass := make(map[string]struct{})
+		// of a class expands them all, so dedupe by class identifier.
+		pt := u.Partition(p)
+		seenClass := make(map[int32]struct{})
 		for i := range frontier {
-			key := u.At(i).ProjectionKey(p)
-			if _, done := seenClass[key]; done {
+			c := pt.ClassOf(i)
+			if _, done := seenClass[c]; done {
 				continue
 			}
-			seenClass[key] = struct{}{}
-			for _, j := range u.ClassRef(u.At(i), p) {
+			seenClass[c] = struct{}{}
+			for _, j := range pt.MembersOf(c) {
 				next[j] = struct{}{}
 			}
 		}

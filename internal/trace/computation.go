@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -52,11 +51,6 @@ type Computation struct {
 	flat atomic.Pointer[[]Event]
 	// keyc caches the canonical string key.
 	keyc atomic.Pointer[string]
-	// projKeys caches ProjectionKey results per ProcSet key, allocated
-	// on first use. Partition construction and class lookups ask for
-	// the same projections repeatedly, possibly from several goroutines
-	// at once.
-	projKeys atomic.Pointer[sync.Map]
 }
 
 // emptyComputation is the shared null computation: computations are
@@ -259,36 +253,18 @@ func (c *Computation) Projection(p ProcSet) []Event {
 	return out
 }
 
-// projMap returns the projection-key cache, allocating it on first use
-// so computations that never project (the enumeration frontier) pay
-// nothing for it.
-func (c *Computation) projMap() *sync.Map {
-	if m := c.projKeys.Load(); m != nil {
-		return m
-	}
-	m := new(sync.Map)
-	if c.projKeys.CompareAndSwap(nil, m) {
-		return m
-	}
-	return c.projKeys.Load()
-}
-
 // ProjectionKey returns a canonical encoding of the per-process
 // projections of c on P. x [P] y holds exactly when
 // x.ProjectionKey(P) == y.ProjectionKey(P): the relation is defined
 // process-by-process (x [P] y ≡ ∀p∈P: x [p] y), so the key concatenates
 // each process's projection separately rather than the interleaved
 // subsequence — two interleavings of independent events on distinct
-// members of P are [P]-isomorphic.
+// members of P are [P]-isomorphic. The key is built on every call; it is
+// the slow reference that ProjectionHash is checked against.
 func (c *Computation) ProjectionKey(p ProcSet) string {
-	pk := p.Key()
-	m := c.projMap()
-	if v, ok := m.Load(pk); ok {
-		return v.(string)
-	}
 	evs := c.evs()
 	var b strings.Builder
-	b.Grow(len(pk) + 2*len(evs) + 4*p.Len())
+	b.Grow(2*len(evs) + 4*p.Len())
 	for _, id := range p.ids {
 		b.WriteString(string(id))
 		b.WriteByte('/')
@@ -300,9 +276,40 @@ func (c *Computation) ProjectionKey(p ProcSet) string {
 		}
 		b.WriteByte('|')
 	}
-	s := b.String()
-	m.Store(pk, s)
-	return s
+	return b.String()
+}
+
+// ProjectionHash returns the 128-bit hash of c's per-process
+// projections on P: one lane per process of P — the Hash128 chain of
+// that process's events, the empty hash when it has none — combined in
+// P's canonical order with CombineLane. x [P] y implies equal hashes;
+// distinct projections collide with probability ~2^-128. The walk reads
+// the prefix chain and materializes no event slice. Universe partition
+// tables compute the same lanes incrementally, one event per member.
+func (c *Computation) ProjectionHash(p ProcSet) Hash128 {
+	lanes := make([]Hash128, len(p.ids))
+	for i := range lanes {
+		lanes[i] = emptyHash
+	}
+	var on []*Computation // nodes whose last event is on P, newest first
+	for a := c; a.parent != nil; a = a.parent {
+		if p.Contains(a.last.Proc) {
+			on = append(on, a)
+		}
+	}
+	for k := len(on) - 1; k >= 0; k-- {
+		e := on[k].last
+		i := 0
+		for p.ids[i] != e.Proc {
+			i++
+		}
+		lanes[i] = lanes[i].ExtendEvent(e)
+	}
+	h := emptyHash
+	for _, l := range lanes {
+		h = h.CombineLane(l)
+	}
+	return h
 }
 
 // IsomorphicTo reports x [P] y: the projections of c and d on every process

@@ -120,7 +120,6 @@ func (c *Computation) UnmarshalJSON(data []byte) error {
 	c.hash = validated.hash
 	c.flat.Store(nil)
 	c.keyc.Store(nil)
-	c.projKeys.Store(nil)
 	return nil
 }
 

@@ -74,6 +74,18 @@ func (h Hash128) ExtendEvent(e Event) Hash128 {
 	return Hash128{Hi: hi, Lo: lo ^ (hi >> 32)}
 }
 
+// CombineLane folds one per-process projection hash (a lane) into h.
+// Starting from the empty computation's hash and combining the lanes of
+// a process set in canonical order gives the set's projection hash (see
+// Computation.ProjectionHash); lane order matters, so equal lanes on
+// different processes do not cancel.
+func (h Hash128) CombineLane(lane Hash128) Hash128 {
+	h = h.mixUint(lane.Hi).mixUint(lane.Lo)
+	lo := (h.Lo ^ (h.Hi >> 32)) * hashK1
+	hi := (h.Hi ^ (lo >> 29)) * hashK2
+	return Hash128{Hi: hi, Lo: lo ^ (hi >> 32)}
+}
+
 // Less orders hashes lexicographically by (Hi, Lo). It is the tiebreak
 // the canonical (length, hash) member order sorts by.
 func (h Hash128) Less(o Hash128) bool {

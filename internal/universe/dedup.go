@@ -8,7 +8,8 @@ import (
 )
 
 // ErrHashCollision reports two distinct computations with equal 128-bit
-// canonical hashes, detected by an enumeration run with WithHashVerify.
+// canonical hashes, or two distinct projections with equal projection
+// hashes, detected under WithHashVerify.
 // It has never been observed; the option exists so that debug runs can
 // prove that for their workload.
 var ErrHashCollision = errors.New("universe: 128-bit canonical hash collision")

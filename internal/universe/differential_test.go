@@ -1,14 +1,18 @@
 package universe_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
+	"hpl/internal/faults"
 	"hpl/internal/protocols/ackchain"
 	"hpl/internal/protocols/commit"
 	"hpl/internal/protocols/heartbeat"
@@ -296,6 +300,172 @@ func TestEngineMatchesReferenceRandomFree(t *testing.T) {
 				requireIdenticalUniverses(t, fmt.Sprintf("workers=%d", workers), got, want)
 			}
 		})
+	}
+}
+
+// TestPartitionMatchesStringReference differences the projection-hash
+// partition tables against the string-key reference builder on full,
+// symmetry-quotient, fault-wrapped, snapshot-loaded and
+// non-prefix-closed hand-built universes: for every non-empty P ⊆ D,
+// the same class of every member, the same member list of every class
+// and the same class count. Enumeration and table builds run at
+// parallelism 1, 2 and 8 (the 2.5k-member full universe is large enough
+// for the lane pass to fan out), with hash verification on wherever the
+// universe was enumerated. Computations outside each universe check
+// ClassRef against the reference's projection-key index and, on full
+// universes, against ClassScan.
+func TestPartitionMatchesStringReference(t *testing.T) {
+	free := universe.NewFree(universe.FreeConfig{
+		Procs:    []trace.ProcID{"p", "q", "r"},
+		MaxSends: 2,
+	})
+	faulty := faults.Wrap(universe.NewFree(universe.FreeConfig{
+		Procs:    []trace.ProcID{"p", "q"},
+		MaxSends: 2,
+	}), faults.Model{CrashAll: true, Drops: 1, Dups: 1})
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("par=%d", workers), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			enumerate := func(p universe.Protocol, maxEvents int, opts ...universe.Option) *universe.Universe {
+				t.Helper()
+				opts = append(opts, universe.WithMaxEvents(maxEvents),
+					universe.WithParallelism(workers), universe.WithHashVerify())
+				u, err := universe.EnumerateWith(p, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return u
+			}
+			full := enumerate(free, 4)
+			quot := enumerate(free, 4, universe.WithSymmetry(universe.InferSymmetry(free)))
+			if !quot.IsQuotient() || quot.Len() >= full.Len() {
+				t.Fatalf("quotient has %d members against the full %d", quot.Len(), full.Len())
+			}
+
+			// Snapshot load: two tables travel in the file, the rest are
+			// built on the loaded universe.
+			orig := enumerate(free, 4)
+			orig.Partition(trace.Singleton("q"))
+			orig.Partition(orig.All())
+			var buf bytes.Buffer
+			if err := universe.WriteSnapshot(&buf, orig, "ref"); err != nil {
+				t.Fatal(err)
+			}
+			loaded, _, err := universe.ReadSnapshot(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Hand-built: drop every two-event member, so the three-event
+			// members' prefixes are not members, shuffle the rest, and add
+			// a member with an event on a process outside D.
+			var comps []*trace.Computation
+			for i := 0; i < full.Len(); i++ {
+				if full.At(i).Len() != 2 {
+					comps = append(comps, full.At(i))
+				}
+			}
+			rand.New(rand.NewSource(int64(workers))).Shuffle(len(comps), func(a, b int) {
+				comps[a], comps[b] = comps[b], comps[a]
+			})
+			comps = append(comps, trace.NewBuilder().Send("p", "q", "m").Internal("z", "stray").MustBuild())
+			hand := universe.New(comps, full.All())
+
+			for _, tc := range []struct {
+				name string
+				u    *universe.Universe
+			}{
+				{"full", full},
+				{"quotient", quot},
+				{"faults", enumerate(faulty, 4)},
+				{"snapshot", loaded},
+				{"hand-built", hand},
+			} {
+				probes := outsideProbes(t, tc.u)
+				for _, p := range nonEmptySubsets(tc.u.All()) {
+					requirePartitionMatchesReference(t, tc.name, tc.u, p, probes)
+				}
+			}
+		})
+	}
+}
+
+// outsideProbes returns computations that are not members of u: every
+// 53rd member extended by an internal event on its first process (same
+// projection as the member everywhere else), and a lone event on a
+// process outside D (empty projection on every P ⊆ D).
+func outsideProbes(t *testing.T, u *universe.Universe) []*trace.Computation {
+	t.Helper()
+	probes := []*trace.Computation{trace.NewBuilder().Internal("zz", "alien").MustBuild()}
+	for i := 0; i < u.Len(); i += 53 {
+		x := u.At(i)
+		for _, p := range u.All().IDs()[:1] {
+			n := len(x.Projection(trace.Singleton(p)))
+			y, err := x.Append(trace.Event{ID: trace.NewEventID(p, n), Proc: p, Kind: trace.KindInternal, Tag: "probe"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			probes = append(probes, y)
+		}
+	}
+	for _, x := range probes {
+		if u.Contains(x) {
+			t.Fatalf("probe %v is a member", x)
+		}
+	}
+	return probes
+}
+
+// nonEmptySubsets lists every non-empty subset of d.
+func nonEmptySubsets(d trace.ProcSet) []trace.ProcSet {
+	ids := d.IDs()
+	var out []trace.ProcSet
+	for mask := 1; mask < 1<<len(ids); mask++ {
+		var sub []trace.ProcID
+		for k, id := range ids {
+			if mask&(1<<k) != 0 {
+				sub = append(sub, id)
+			}
+		}
+		out = append(out, trace.NewProcSet(sub...))
+	}
+	return out
+}
+
+// requirePartitionMatchesReference fails unless u's [P]-partition has
+// the reference builder's classes, and ClassRef agrees with the
+// reference (and, on full universes, with ClassScan) on every probe.
+func requirePartitionMatchesReference(t *testing.T, label string, u *universe.Universe, p trace.ProcSet, probes []*trace.Computation) {
+	t.Helper()
+	got := u.Partition(p)
+	want, byKey := universe.ReferencePartition(u, p)
+	if got.NumClasses() != want.NumClasses() {
+		t.Fatalf("%s %v: %d classes, want %d", label, p, got.NumClasses(), want.NumClasses())
+	}
+	for i := 0; i < u.Len(); i++ {
+		if got.ClassOf(i) != want.ClassOf(i) {
+			t.Fatalf("%s %v: member %d in class %d, want %d", label, p, i, got.ClassOf(i), want.ClassOf(i))
+		}
+	}
+	for c := int32(0); c < int32(want.NumClasses()); c++ {
+		if !slices.Equal(got.MembersOf(c), want.MembersOf(c)) {
+			t.Fatalf("%s %v: class %d = %v, want %v", label, p, c, got.MembersOf(c), want.MembersOf(c))
+		}
+	}
+	for k, x := range probes {
+		var wantRef []int
+		if c, ok := byKey[x.ProjectionKey(p)]; ok {
+			wantRef = want.MembersOf(c)
+		}
+		gotRef := u.ClassRef(x, p)
+		if !slices.Equal(gotRef, wantRef) {
+			t.Fatalf("%s %v: ClassRef(probe %d) = %v, reference %v", label, p, k, gotRef, wantRef)
+		}
+		if k < 4 && !u.IsQuotient() {
+			if scan := u.ClassScan(x, p); !slices.Equal(gotRef, scan) {
+				t.Fatalf("%s %v: ClassRef(probe %d) = %v, ClassScan %v", label, p, k, gotRef, scan)
+			}
+		}
 	}
 }
 

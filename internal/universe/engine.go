@@ -410,6 +410,7 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 	// builds and snapshot encodes this build triggers later join its
 	// phase breakdown.
 	u.tr = cfg.trace
+	u.verify = cfg.hashVerify
 	phaseCanonicalize.ObserveDuration(canonSp.End())
 	engineBuilds.Inc()
 	engineMembers.Add(int64(len(comps)))

@@ -111,10 +111,14 @@ func WithProgress(fn func(Progress)) Option {
 // WithHashVerify makes the engine retain the first claimant of every
 // dedup slot and compare full canonical string keys whenever two
 // computations of equal length hit the same 128-bit hash, failing the
-// enumeration with ErrHashCollision on a mismatch. Distinct sequences
-// collide with probability ~2^-128, so production runs skip the check
-// (and the string keys entirely); this option exists for debug runs
-// that want the assumption proven rather than assumed.
+// enumeration with ErrHashCollision on a mismatch. The flag stays on
+// the universe: every partition build then compares each member's
+// ProjectionKey with its class's first member and panics with an error
+// wrapping ErrHashCollision on a mismatch (partition builds are lazy and
+// have no error path). Distinct sequences collide with probability
+// ~2^-128, so production runs skip the checks (and the string keys
+// entirely); this option exists for debug runs that want the
+// assumption proven rather than assumed.
 func WithHashVerify() Option {
 	return func(c *config) { c.hashVerify = true }
 }

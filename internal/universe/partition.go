@@ -1,7 +1,9 @@
 package universe
 
 import (
-	"runtime"
+	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -26,20 +28,10 @@ type Partition struct {
 	// members maps class identifier → ascending member indexes. The
 	// inner slices are views into one shared arena.
 	members [][]int
-	// byKeyID maps interned projection-key ID → class identifier, for
-	// class lookups of computations outside the universe.
-	byKeyID map[int32]int32
-	// keys is the universe-wide projection-key interner the table was
-	// built against.
-	keys *trace.Interner
-
-	// Snapshot-loaded partitions arrive with classID/members only: the
-	// projection-key index would dominate the snapshot (keys are as long
-	// as event sequences), so it is rebuilt lazily on the first
-	// ClassOfKey call instead. u and keyOnce drive that completion; both
-	// are nil/unused for tables built by NewPartition.
-	u       *Universe
-	keyOnce sync.Once
+	// byHash maps a projection hash (Computation.ProjectionHash on set)
+	// → class identifier, for class lookups of computations outside the
+	// universe.
+	byHash map[trace.Hash128]int32
 }
 
 // Set returns P, the process set the partition refines by.
@@ -58,104 +50,244 @@ func (pt *Partition) ClassOf(i int) int32 { return pt.classID[i] }
 // slice aliases the table and MUST be treated as read-only.
 func (pt *Partition) MembersOf(class int32) []int { return pt.members[class] }
 
-// ClassOfKey returns the class whose members have the given projection
-// key; ok is false when no member projects to it.
-func (pt *Partition) ClassOfKey(projKey string) (int32, bool) {
-	if pt.u != nil {
-		pt.keyOnce.Do(pt.buildKeys)
-	}
-	id, ok := pt.keys.Lookup(projKey)
-	if !ok {
-		return 0, false
-	}
-	c, ok := pt.byKeyID[id]
+// ClassOfHash returns the class whose members have the given projection
+// hash (Computation.ProjectionHash on Set); ok is false when no member
+// projects to it.
+func (pt *Partition) ClassOfHash(h trace.Hash128) (int32, bool) {
+	c, ok := pt.byHash[h]
 	return c, ok
 }
 
-// buildKeys completes a snapshot-loaded partition's projection-key
-// index. Every member of a class shares one projection key by
-// construction, so one key per class — projected from the class's first
-// member — reconstructs the full index.
-func (pt *Partition) buildKeys() {
-	byKey := make(map[int32]int32, len(pt.members))
-	for c, ms := range pt.members {
-		kid := pt.u.keys.Intern(pt.u.At(ms[0]).ProjectionKey(pt.set))
-		byKey[kid] = int32(c)
+// laneTable holds every member's per-process projection hashes. Lane
+// (g, k) of member i is the Hash128 chain of the events on procs[k] of
+// σ_g·y_i, where σ_0 is the identity and σ_1… are the other elements of
+// the universe's symmetry group (quotients only). A [P]-class key
+// combines the lanes of P's processes exactly as
+// Computation.ProjectionHash does, so every partition of the universe
+// reads this one table instead of re-projecting its members.
+type laneTable struct {
+	procs []trace.ProcID
+	pos   map[trace.ProcID]int
+	elems []map[trace.ProcID]trace.ProcID
+	// width is the number of lanes per member: len(procs) per group
+	// element, identity first.
+	width int
+	h     []trace.Hash128
+}
+
+// projectionLanes returns the universe's lane table, building it on
+// first use; every partition build shares it.
+func (u *Universe) projectionLanes() *laneTable {
+	u.lanesOnce.Do(func() { u.lanes = newLaneTable(u) })
+	return u.lanes
+}
+
+// newLaneTable computes the lanes in one pass over the members,
+// parents first: a member's lanes are its parent member's lanes with
+// the last event folded into that event's process lane (and, per group
+// element σ, σ applied to the event folded into lane σ(proc)). Only a
+// member whose prefix is not a member (hand-built universes) walks its
+// own chain instead. Members of equal length never read each other's
+// lanes, so each length level fans out across workers.
+func newLaneTable(u *Universe) *laneTable {
+	procs := u.all.IDs()
+	if !u.sorted {
+		procs = withEventProcs(u, procs)
 	}
-	pt.keys = pt.u.keys
-	pt.byKeyID = byKey
+	lt := &laneTable{procs: procs, pos: make(map[trace.ProcID]int, len(procs))}
+	for k, p := range procs {
+		lt.pos[p] = k
+	}
+	if u.sym != nil {
+		lt.elems = u.sym.elements()
+	}
+	lt.width = (1 + len(lt.elems)) * len(procs)
+	n := u.Len()
+	lt.h = make([]trace.Hash128, n*lt.width)
+	order := parentsFirst(u)
+	fill := func(lo, hi int) {
+		var chain []*trace.Computation
+		for _, i := range order[lo:hi] {
+			c := u.At(i)
+			row := lt.h[i*lt.width : (i+1)*lt.width]
+			last, ok := c.Last()
+			pi := -1
+			if ok {
+				pi = u.IndexOf(c.Parent())
+			}
+			if pi >= 0 {
+				copy(row, lt.h[pi*lt.width:(pi+1)*lt.width])
+				lt.fold(row, last)
+				continue
+			}
+			empty := trace.Empty().Hash()
+			for k := range row {
+				row[k] = empty
+			}
+			chain = chain[:0]
+			for a := c; a.Len() > 0; a = a.Parent() {
+				chain = append(chain, a)
+			}
+			for k := len(chain) - 1; k >= 0; k-- {
+				e, _ := chain[k].Last()
+				lt.fold(row, e)
+			}
+		}
+	}
+	for lo := 0; lo < n; {
+		level := u.comps[order[lo]].Len()
+		hi := lo + sort.Search(n-lo, func(k int) bool { return u.comps[order[lo+k]].Len() > level })
+		forChunks(lo, hi, fill)
+		lo = hi
+	}
+	return lt
+}
+
+// fold extends one member's lanes by the event e.
+func (lt *laneTable) fold(row []trace.Hash128, e trace.Event) {
+	k := lt.pos[e.Proc]
+	row[k] = row[k].ExtendEvent(e)
+	for g, sigma := range lt.elems {
+		re := renameEvent(e, sigma)
+		k := (g+1)*len(lt.procs) + lt.pos[re.Proc]
+		row[k] = row[k].ExtendEvent(re)
+	}
+}
+
+// lanePositions returns the lane index of each process of P, in P's
+// order; -1 marks a process no member has an event on.
+func (lt *laneTable) lanePositions(p trace.ProcSet) []int {
+	ids := p.IDs()
+	pos := make([]int, len(ids))
+	for j, id := range ids {
+		if k, ok := lt.pos[id]; ok {
+			pos[j] = k
+		} else {
+			pos[j] = -1
+		}
+	}
+	return pos
+}
+
+// classKey combines member i's lanes under group element g for the
+// processes at pos: Computation.ProjectionHash of σ_g·y_i.
+func (lt *laneTable) classKey(i, g int, pos []int) trace.Hash128 {
+	empty := trace.Empty().Hash()
+	row := lt.h[i*lt.width+g*len(lt.procs):]
+	h := empty
+	for _, k := range pos {
+		if k < 0 {
+			h = h.CombineLane(empty)
+		} else {
+			h = h.CombineLane(row[k])
+		}
+	}
+	return h
+}
+
+// parentsFirst returns the member indexes in ascending length — the
+// identity for canonically sorted universes — so every member comes
+// after its one-event-shorter prefix.
+func parentsFirst(u *Universe) []int {
+	order := make([]int, u.Len())
+	for i := range order {
+		order[i] = i
+	}
+	if !u.sorted {
+		sort.SliceStable(order, func(a, b int) bool { return u.comps[order[a]].Len() < u.comps[order[b]].Len() })
+	}
+	return order
+}
+
+// withEventProcs extends procs by every process a member has an event
+// on: hand-built universes may hold events outside their declared D.
+func withEventProcs(u *Universe, procs []trace.ProcID) []trace.ProcID {
+	seen := make(map[trace.ProcID]bool, len(procs))
+	for _, p := range procs {
+		seen[p] = true
+	}
+	for _, c := range u.comps {
+		for a := c; a.Len() > 0; a = a.Parent() {
+			if e, _ := a.Last(); !seen[e.Proc] {
+				seen[e.Proc] = true
+				procs = append(procs, e.Proc)
+			}
+		}
+	}
+	return procs
 }
 
 // NewPartition builds the [P]-partition of the universe without
-// consulting or populating the universe's partition cache. Prefer
-// Universe.Partition, which builds each table once and shares it;
-// NewPartition exists for the partition-table ablation benchmark and
-// for tests that need a fresh table.
+// consulting or populating the universe's partition cache (the lane
+// table it reads is shared). Prefer Universe.Partition, which builds
+// each table once and shares it; NewPartition exists for the
+// partition-table benchmarks and for tests that need a fresh table.
+//
+// Classes are keyed by projection hash. Under WithHashVerify every
+// member's ProjectionKey is checked against its class's first member,
+// and a mismatch panics with an error wrapping ErrHashCollision.
 func NewPartition(u *Universe, p trace.ProcSet) *Partition {
+	lt := u.projectionLanes()
+	var pt *Partition
 	if u.sym != nil {
-		return newQuotientPartition(u, p)
+		pt = newQuotientPartition(u, lt, p)
+	} else {
+		pt = newFullPartition(u, lt, p)
 	}
+	if u.verify {
+		if err := pt.verify(u, lt); err != nil {
+			panic(err)
+		}
+	}
+	return pt
+}
+
+func newFullPartition(u *Universe, lt *laneTable, p trace.ProcSet) *Partition {
 	n := u.Len()
 	pt := &Partition{
 		set:     p,
 		classID: make([]int32, n),
-		byKeyID: make(map[int32]int32),
-		keys:    u.keys,
+		byHash:  make(map[trace.Hash128]int32),
 	}
-	// Projection keys are independent per member; computing them is the
-	// expensive part (one pass over each member's events), so fan it out.
-	keyIDs := make([]int32, n)
-	workers := runtime.GOMAXPROCS(0)
-	if chunk := 1024; workers > 1 && n >= 2*chunk {
-		var wg sync.WaitGroup
-		for lo := 0; lo < n; lo += chunk {
-			hi := min(lo+chunk, n)
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					keyIDs[i] = u.keys.Intern(u.At(i).ProjectionKey(p))
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		for i := 0; i < n; i++ {
-			keyIDs[i] = u.keys.Intern(u.At(i).ProjectionKey(p))
-		}
-	}
-	// Group sequentially so class identifiers are deterministic: class c
-	// is the c-th distinct projection key by member order.
-	counts := []int32{}
-	for i, kid := range keyIDs {
-		c, ok := pt.byKeyID[kid]
+	pos := lt.lanePositions(p)
+	// Class c is the c-th distinct projection hash by member order.
+	var counts []int32
+	for i := 0; i < n; i++ {
+		key := lt.classKey(i, 0, pos)
+		c, ok := pt.byHash[key]
 		if !ok {
 			c = int32(len(counts))
-			pt.byKeyID[kid] = c
+			pt.byHash[key] = c
 			counts = append(counts, 0)
 		}
 		pt.classID[i] = c
 		counts[c]++
 	}
-	// Lay the member lists out in one arena, classes back to back.
-	arena := make([]int, n)
-	pt.members = make([][]int, len(counts))
+	pt.members = layoutMembers(pt.classID, counts)
+	return pt
+}
+
+// layoutMembers lays the member lists out in one arena, classes back to
+// back, each ascending; counts[c] is the size of class c.
+func layoutMembers(classID, counts []int32) [][]int {
+	arena := make([]int, len(classID))
+	members := make([][]int, len(counts))
 	off := int32(0)
 	for c, cnt := range counts {
-		pt.members[c] = arena[off : off : off+cnt]
+		members[c] = arena[off : off : off+cnt]
 		off += cnt
 	}
-	for i, c := range pt.classID {
-		pt.members[c] = append(pt.members[c], i)
+	for i, c := range classID {
+		members[c] = append(members[c], i)
 	}
-	return pt
+	return members
 }
 
 // newQuotientPartition builds the [P]-partition of a symmetry quotient.
 // Quotient members stand for whole renaming orbits, so the relation has
 // to be read through the orbits: member j is related to projection key
 // k exactly when SOME renaming σ·y_j projects to k. Each member is
-// therefore listed under the projection key of σ·y_j for every group
+// therefore listed under the projection hash of σ·y_j for every group
 // element σ — "twisted" listings — so classes may overlap; a member's
 // own class (ClassOf) is the one keyed by its identity projection.
 //
@@ -168,43 +300,29 @@ func NewPartition(u *Universe, p trace.ProcSet) *Partition {
 // classes encode exactly the relation-through-renaming the quotient
 // fixpoint needs: evicting a twisted class corresponds to evicting via
 // some renamed process's relation, all of which D contains.
-func newQuotientPartition(u *Universe, p trace.ProcSet) *Partition {
+func newQuotientPartition(u *Universe, lt *laneTable, p trace.ProcSet) *Partition {
 	n := u.Len()
 	pt := &Partition{
 		set:     p,
 		classID: make([]int32, n),
-		byKeyID: make(map[int32]int32),
-		keys:    u.keys,
+		byHash:  make(map[trace.Hash128]int32),
 	}
-	elems := u.sym.elements()
+	pos := lt.lanePositions(p)
+	groups := 1 + len(lt.elems)
 	var classes [][]int
-	var arena trace.Arena
-	kidBuf := make([]int32, 0, len(elems)+1)
+	keys := make([]trace.Hash128, 0, groups)
 	for i := 0; i < n; i++ {
-		c := u.At(i)
-		kidBuf = append(kidBuf[:0], u.keys.Intern(c.ProjectionKey(p)))
-		for _, sigma := range elems {
-			rc := trace.Empty()
-			for e := 0; e < c.Len(); e++ {
-				rc = arena.Extend(rc, renameEvent(c.At(e), sigma))
-			}
-			kid := u.keys.Intern(rc.ProjectionKey(p))
-			dup := false
-			for _, k := range kidBuf {
-				if k == kid {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				kidBuf = append(kidBuf, kid)
+		keys = keys[:0]
+		for g := 0; g < groups; g++ {
+			if k := lt.classKey(i, g, pos); !slices.Contains(keys, k) {
+				keys = append(keys, k)
 			}
 		}
-		for j, kid := range kidBuf {
-			cl, ok := pt.byKeyID[kid]
+		for j, k := range keys {
+			cl, ok := pt.byHash[k]
 			if !ok {
 				cl = int32(len(classes))
-				pt.byKeyID[kid] = cl
+				pt.byHash[k] = cl
 				classes = append(classes, nil)
 			}
 			if j == 0 {
@@ -215,6 +333,49 @@ func newQuotientPartition(u *Universe, p trace.ProcSet) *Partition {
 	}
 	pt.members = classes
 	return pt
+}
+
+// verify checks the hash-keyed classes against the string reference:
+// every listing of a member in a class — under each group element whose
+// projection hash keys that class — must have the ProjectionKey of the
+// class's first listing. A mismatch is a projection-hash collision.
+func (pt *Partition) verify(u *Universe, lt *laneTable) error {
+	keyOf := make([]trace.Hash128, len(pt.members))
+	for k, c := range pt.byHash {
+		keyOf[c] = k
+	}
+	pos := lt.lanePositions(pt.set)
+	var arena trace.Arena
+	for c, ms := range pt.members {
+		want, first := "", -1
+		for _, i := range ms {
+			for g := 0; g <= len(lt.elems); g++ {
+				if lt.classKey(i, g, pos) != keyOf[c] {
+					continue
+				}
+				got := lt.renamed(&arena, u.At(i), g).ProjectionKey(pt.set)
+				if first < 0 {
+					want, first = got, i
+				} else if got != want {
+					return fmt.Errorf("%w: [%v] class %d holds members %d (%q) and %d (%q)",
+						ErrHashCollision, pt.set, c, first, want, i, got)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// renamed returns σ_g·c, rebuilt event by event (the identity for g=0).
+func (lt *laneTable) renamed(arena *trace.Arena, c *trace.Computation, g int) *trace.Computation {
+	if g == 0 {
+		return c
+	}
+	rc := trace.Empty()
+	for _, e := range c.Events() {
+		rc = arena.Extend(rc, renameEvent(e, lt.elems[g-1]))
+	}
+	return rc
 }
 
 // Partition returns the [P]-partition of the universe, building it on

@@ -50,9 +50,8 @@ import (
 //	           the CSR forward adjacency is a counting sort at load.
 //	parts    — count, then per built partition table: proc-set refs,
 //	           class count, and per-member class identifiers. The
-//	           projection-key index is NOT stored (keys are as long as
-//	           event sequences); loaded tables rebuild it lazily from
-//	           one member per class on first ClassOfKey.
+//	           projection-hash index is NOT stored: the loader rebuilds
+//	           it from one member per class (every class must have one).
 //	symmetry — version 2 (symmetry quotients) only: the group's class
 //	           count, then per class its size and proc string refs,
 //	           then one orbit size per member. Quotients always write
@@ -175,8 +174,8 @@ func WriteSnapshot(w io.Writer, u *Universe, digest string) error {
 	// Built partition tables, ordered by process-set key: sync.Map
 	// iteration order must not leak into the bytes. Quotient partitions
 	// are never persisted: their overlapping "twisted" class listings
-	// cannot be reconstructed from classID alone (the lazy ClassOfKey
-	// completion assumes one key per class), so quotient loads rebuild
+	// cannot be reconstructed from classID alone (the loader's hash
+	// index assumes one projection per class), so quotient loads rebuild
 	// tables on demand — quotients are small enough that this is cheap.
 	parts := u.partitionsIfBuilt()
 	if u.sym != nil {
@@ -245,11 +244,10 @@ func WriteSnapshot(w io.Writer, u *Universe, digest string) error {
 
 // ReadSnapshot loads a universe and its digest key from r. The loaded
 // universe answers every query the original did — partition tables and
-// the transition graph included in the snapshot are pre-installed,
-// projection-key indexes rebuild lazily — and becomes extendable again
-// after BindProtocol. Malformed input returns a structured error
-// (ErrSnapshotFormat, ErrSnapshotVersion, ErrSnapshotTruncated, or
-// ErrSnapshotCorrupt), never a panic.
+// the transition graph included in the snapshot are pre-installed — and
+// becomes extendable again after BindProtocol. Malformed input returns
+// a structured error (ErrSnapshotFormat, ErrSnapshotVersion,
+// ErrSnapshotTruncated, or ErrSnapshotCorrupt), never a panic.
 func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 	// No universe (hence no per-build trace) exists yet; decode time
 	// goes to the global phase histogram only.
@@ -353,8 +351,8 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 	}
 
 	// The strict canonical order just verified implies the members are
-	// pairwise distinct, so wrap them directly; the hash index (like the
-	// projection-key indexes) rebuilds lazily if the workload probes it.
+	// pairwise distinct, so wrap them directly; the member hash index is
+	// built lazily if the workload probes it.
 	u := newSorted(comps, trace.NewProcSet(procIDs...))
 	u.maxEvents = int(maxEvents)
 	u.states = newStateTableFrom(vecs)
@@ -407,22 +405,27 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 		if sr.err != nil {
 			break
 		}
-		// Lay the member lists out exactly as NewPartition does.
-		memArena := make([]int, nmem)
-		members := make([][]int, nclass)
-		off := int32(0)
-		for c, cnt := range counts {
-			members[c] = memArena[off : off : off+cnt]
-			off += cnt
+		// Lay the member lists out exactly as NewPartition does, and
+		// index the classes by projection hash: every member of a class
+		// shares one, so the class's first member supplies it.
+		set := trace.NewProcSet(ids...)
+		byHash := make(map[trace.Hash128]int32, nclass)
+		members := layoutMembers(classID, counts)
+		for c, ms := range members {
+			if len(ms) == 0 {
+				sr.fail("partition %d: class %d has no members", k, c)
+				break
+			}
+			byHash[u.At(ms[0]).ProjectionHash(set)] = int32(c)
 		}
-		for i, c := range classID {
-			members[c] = append(members[c], i)
+		if sr.err != nil {
+			break
 		}
 		u.installPartition(&Partition{
-			set:     trace.NewProcSet(ids...),
+			set:     set,
 			classID: classID,
 			members: members,
-			u:       u,
+			byHash:  byHash,
 		})
 	}
 

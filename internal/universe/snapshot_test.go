@@ -267,8 +267,8 @@ func TestSnapshotLoadConcurrent(t *testing.T) {
 			pt := u.Partition(ps)
 			for i := 0; i < u.Len(); i += 7 {
 				x := u.At(i)
-				if _, ok := pt.ClassOfKey(x.ProjectionKey(ps)); !ok {
-					t.Errorf("goroutine %d: member %d's projection key not found", g, i)
+				if c, ok := pt.ClassOfHash(x.ProjectionHash(ps)); !ok || c != pt.ClassOf(i) {
+					t.Errorf("goroutine %d: member %d's projection hash not found in its class", g, i)
 					return
 				}
 			}

@@ -133,21 +133,7 @@ func NewTransitions(u *Universe) *Transitions {
 			}
 		}
 	}
-	const chunk = 1024
-	if workers := runtime.GOMAXPROCS(0); workers > 1 && n >= 2*chunk {
-		var wg sync.WaitGroup
-		for lo := 0; lo < n; lo += chunk {
-			hi := min(lo+chunk, n)
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				resolve(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		resolve(0, n)
-	}
+	forChunks(0, n, resolve)
 	t.buildForward()
 	// Topological order: ascending event count. Enumerated universes
 	// are already canonically sorted by (length, hash), making identity
@@ -159,6 +145,26 @@ func NewTransitions(u *Universe) *Transitions {
 		})
 	}
 	return t
+}
+
+// forChunks runs fn over [lo, hi) split into chunks of 1024, the chunks
+// in parallel when GOMAXPROCS allows and there are at least two; fn must
+// be safe to run on disjoint ranges concurrently.
+func forChunks(lo, hi int, fn func(lo, hi int)) {
+	const chunk = 1024
+	if runtime.GOMAXPROCS(0) == 1 || hi-lo < 2*chunk {
+		fn(lo, hi)
+		return
+	}
+	var wg sync.WaitGroup
+	for ; lo < hi; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, min(lo+chunk, hi))
+	}
+	wg.Wait()
 }
 
 // buildForward derives the CSR forward adjacency from the parent/label

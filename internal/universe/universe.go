@@ -6,11 +6,11 @@
 // meaningful model checks instead of statistical tests.
 //
 // A Universe decomposes into dense partition tables (see Partition), one
-// per process set, with projection keys interned to integer IDs: the
-// isomorphism class of x with respect to P is an array index rather than
-// a scan or a string-map probe. Tables are built in parallel on first
-// use and are safe to share between concurrent evaluators. The ablation
-// benchmarks BenchmarkAblationProjectionIndex and
+// per process set, keyed by per-process projection hashes computed once
+// per universe: the isomorphism class of x with respect to P is an array
+// index rather than a scan or a string-map probe. Tables are built on
+// first use and are safe to share between concurrent evaluators. The
+// ablation benchmarks BenchmarkAblationProjectionIndex and
 // BenchmarkAblationPartitionTable measure what that buys.
 package universe
 
@@ -49,9 +49,14 @@ type Universe struct {
 	// parts caches the [P]-partition table per P.Key(); see Partition.
 	// Built on first use, safe under concurrent evaluators.
 	parts sync.Map
-	// keys interns projection keys to dense IDs, shared by every
-	// partition of this universe.
-	keys *trace.Interner
+	// lanes holds every member's per-process projection hashes, built
+	// under lanesOnce by the first partition build and shared by the
+	// rest; see laneTable.
+	lanesOnce sync.Once
+	lanes     *laneTable
+	// verify checks every partition build's hash-keyed classes against
+	// the string projection keys (WithHashVerify).
+	verify bool
 	// trans caches the prefix-extension transition graph; see
 	// Transitions. Built on first use, shared by concurrent evaluators.
 	// The atomic pointer is published inside the once so concurrent
@@ -97,7 +102,6 @@ func New(comps []*trace.Computation, all trace.ProcSet) *Universe {
 	u := &Universe{
 		byHash:    make(map[trace.Hash128]int32, len(comps)),
 		all:       all,
-		keys:      trace.NewInterner(),
 		maxEvents: -1,
 	}
 	for _, c := range comps {
@@ -119,7 +123,6 @@ func newSorted(comps []*trace.Computation, all trace.ProcSet) *Universe {
 		comps:     comps,
 		all:       all,
 		sorted:    true,
-		keys:      trace.NewInterner(),
 		maxEvents: -1,
 	}
 }
@@ -175,7 +178,7 @@ func (u *Universe) ClassRef(x *trace.Computation, p trace.ProcSet) []int {
 	if i := u.IndexOf(x); i >= 0 {
 		return pt.MembersOf(pt.ClassOf(i))
 	}
-	if c, ok := pt.ClassOfKey(x.ProjectionKey(p)); ok {
+	if c, ok := pt.ClassOfHash(x.ProjectionHash(p)); ok {
 		return pt.MembersOf(c)
 	}
 	return nil

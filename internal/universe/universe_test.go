@@ -216,3 +216,32 @@ func TestDecodeEncodeFreeState(t *testing.T) {
 		t.Fatalf("garbage decode = (%d,%d)", s, i)
 	}
 }
+
+// TestPartitionVerifyReportsCollision forces a projection-hash
+// collision — a member whose {p} projection differs from the null
+// computation's is given the null computation's lanes — and checks that
+// a build under hash verification reports it.
+func TestPartitionVerifyReportsCollision(t *testing.T) {
+	u, err := EnumerateWith(NewFree(FreeConfig{
+		Procs:    []trace.ProcID{"p", "q"},
+		MaxSends: 1,
+	}), WithMaxEvents(4), WithHashVerify())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := trace.Singleton("p")
+	NewPartition(u, p) // an honest table passes verification
+	b := 1
+	for u.At(b).ProjectionKey(p) == u.At(0).ProjectionKey(p) {
+		b++
+	}
+	lt := u.projectionLanes()
+	copy(lt.h[b*lt.width:(b+1)*lt.width], lt.h[:lt.width])
+	defer func() {
+		if err, _ := recover().(error); !errors.Is(err, ErrHashCollision) {
+			t.Fatalf("verifying build panicked with %v, want ErrHashCollision", err)
+		}
+	}()
+	NewPartition(u, p)
+	t.Fatal("verifying build accepted a collision")
+}
