@@ -263,7 +263,7 @@ func BenchmarkEnumerateSymmetry(b *testing.B) {
 }
 
 // snapshotBenchUniverse enumerates the 107k-member MaxEvents=6 universe
-// the snapshot and extension benchmarks exercise — the same universe as
+// the snapshot benchmarks exercise — the same universe as
 // BenchmarkEnumerateLarge, so its workers=1 row is the re-enumeration
 // baseline the snapshot load is measured against.
 func snapshotBenchUniverse(b *testing.B) *universe.Universe {
@@ -344,44 +344,6 @@ func BenchmarkSnapshotLoadLarge(b *testing.B) {
 		}
 		if size != u.Len() {
 			b.Fatalf("loaded %d members, want %d", size, u.Len())
-		}
-		b.ReportMetric(float64(size), "computations")
-	})
-}
-
-// BenchmarkExtendLargeBound pushes the bound into the 621k-member
-// MaxEvents=7 territory both ways: enumerating from scratch and
-// extending the cached MaxEvents=6 universe in place — the frontier
-// below the old bound is never re-enumerated, so the extension arm is
-// the marginal cost of the new bound alone.
-func BenchmarkExtendLargeBound(b *testing.B) {
-	cfg := universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 2}
-	b.Run("from-scratch-7", func(b *testing.B) {
-		b.ReportAllocs()
-		var size int
-		for i := 0; i < b.N; i++ {
-			u, err := universe.EnumerateWith(universe.NewFree(cfg), universe.WithMaxEvents(7))
-			if err != nil {
-				b.Fatal(err)
-			}
-			size = u.Len()
-		}
-		b.ReportMetric(float64(size), "computations")
-	})
-	b.Run("extend-6to7", func(b *testing.B) {
-		base := snapshotBenchUniverse(b)
-		b.ResetTimer()
-		b.ReportAllocs()
-		var size int
-		for i := 0; i < b.N; i++ {
-			u, err := universe.Extend(base, universe.WithMaxEvents(7))
-			if err != nil {
-				b.Fatal(err)
-			}
-			size = u.Len()
-		}
-		if size < 600000 {
-			b.Fatalf("extended universe too small: %d", size)
 		}
 		b.ReportMetric(float64(size), "computations")
 	})
@@ -472,99 +434,6 @@ func BenchmarkQuietCounterexampleSearch(b *testing.B) {
 }
 
 // --- Ablations (design choices called out in DESIGN.md §5) ---
-
-func ablationUniverse(b *testing.B) *universe.Universe {
-	b.Helper()
-	u, err := universe.EnumerateWith(universe.NewFree(universe.FreeConfig{
-		Procs:    []trace.ProcID{"p", "q"},
-		MaxSends: 1,
-	}), universe.WithMaxEvents(5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return u
-}
-
-// BenchmarkAblationProjectionIndex measures class lookup via the
-// projection-key index (warm) against pairwise scanning.
-func BenchmarkAblationProjectionIndex(b *testing.B) {
-	u := ablationUniverse(b)
-	p := trace.Singleton("q")
-	u.Class(u.At(0), p) // warm the index
-	b.Run("indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < u.Len(); j++ {
-				u.Class(u.At(j), p)
-			}
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < u.Len(); j++ {
-				u.ClassScan(u.At(j), p)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationChainDetection compares the linear-pass chain DP
-// against quadratic brute force over the happened-before closure.
-func BenchmarkAblationChainDetection(b *testing.B) {
-	res, err := diffusing.RunDS(diffusing.Workload{
-		Topo: diffusing.Complete(6), TotalMessages: 60, FanOut: 2, Seed: 3,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	events := res.Comp.Events()
-	sets := []trace.ProcSet{trace.Singleton("n01"), trace.Singleton("n00")}
-	b.Run("dp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g := causality.NewGraph(events)
-			g.HasChain(sets)
-		}
-	})
-	b.Run("bruteforce", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g := causality.NewGraph(events)
-			found := false
-			for x := 0; x < g.Len() && !found; x++ {
-				if g.Event(x).Proc != "n01" {
-					continue
-				}
-				for y := 0; y < g.Len() && !found; y++ {
-					if g.Event(y).Proc == "n00" && g.HappenedBefore(x, y) {
-						found = true
-					}
-				}
-			}
-		}
-	})
-}
-
-// BenchmarkAblationKnowledgeMemo compares the memoizing evaluator
-// against naive recursion on a nested-knowledge formula.
-func BenchmarkAblationKnowledgeMemo(b *testing.B) {
-	u := ablationUniverse(b)
-	f := knowledge.Knows(trace.Singleton("p"),
-		knowledge.Knows(trace.Singleton("q"),
-			knowledge.NewAtom(knowledge.SentTag("p", "m"))))
-	b.Run("memoized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := knowledge.NewEvaluator(u)
-			for j := 0; j < u.Len(); j++ {
-				e.HoldsAt(f, j)
-			}
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < u.Len(); j++ {
-				knowledge.EvalNaive(u, f, j)
-			}
-		}
-	})
-}
 
 // ablationUniverseLarge enumerates a ≥10k-computation universe (16.9k
 // members on three processes) for the vectorized-engine ablations.

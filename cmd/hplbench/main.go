@@ -23,7 +23,7 @@
 // -cold measures the cold-start path instead of sustained load: one
 // timed universe-stats query against a daemon that has never seen the
 // universe — time-to-first-answer — and reports how the daemon
-// materialized it ("build", "snapshot", or "extend"). scripts/load.sh
+// materialized it ("build" or "snapshot"). scripts/load.sh
 // runs it twice, against an empty and a populated -snapshot-dir, to
 // record what snapshots buy per restart.
 //
@@ -86,7 +86,7 @@ type UniverseInfo struct {
 	MaxEvents   int     `json:"maxEvents"`
 	Members     int     `json:"members"`
 	Bytes       int64   `json:"bytes"`
-	Source      string  `json:"source,omitempty"` // build | snapshot | extend
+	Source      string  `json:"source,omitempty"` // build | snapshot
 	BuildMillis float64 `json:"buildMillis"`
 	// Symmetry and FullMembers carry the daemon's orbit accounting when
 	// the spec requested a quotient: the group's class structure and the

@@ -231,12 +231,7 @@ func MustEnumerateWith(p Protocol, opts ...EnumOption) *Universe {
 	return universe.MustEnumerateWith(p, opts...)
 }
 
-// --- Incremental extension & snapshots ---
-
-// ErrCannotExtend reports an ExtendUniverse call on a universe missing
-// what incremental enumeration needs (a bound protocol, a known event
-// bound, or frontier state).
-var ErrCannotExtend = universe.ErrCannotExtend
+// --- Snapshots ---
 
 // Snapshot decode errors, from most to least structural: not a
 // snapshot at all, incompatible codec version, ends mid-structure,
@@ -248,15 +243,6 @@ var (
 	ErrSnapshotCorrupt   = universe.ErrSnapshotCorrupt
 )
 
-// ExtendUniverse enumerates u's protocol at a larger event bound by
-// re-seeding the engine from u's maximal members, enumerating only the
-// new frontier. The result is byte-identical — member order, Partition
-// tables, Transitions — to a from-scratch EnumerateWith at the larger
-// bound. Options are interpreted as for EnumerateWith; u is unchanged.
-func ExtendUniverse(u *Universe, opts ...EnumOption) (*Universe, error) {
-	return universe.Extend(u, opts...)
-}
-
 // WriteSnapshot writes an enumerated universe — members, state table,
 // built partition tables, transition graph — to w in the versioned,
 // checksummed binary snapshot format, keyed by digest (normally a
@@ -267,8 +253,7 @@ func WriteSnapshot(w io.Writer, u *Universe, digest string) error {
 
 // ReadSnapshot loads a universe and its digest key from r, in
 // milliseconds rather than re-enumeration time. The loaded universe
-// answers every query the original did; call Universe.BindProtocol to
-// make it extendable again.
+// answers every query the original did.
 func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 	return universe.ReadSnapshot(r)
 }

@@ -28,9 +28,10 @@ import (
 // An Evaluator is safe for concurrent use: queries serialize on an
 // internal lock, and the partition tables they share are built
 // goroutine-safely by the universe. The per-member evaluation paths
-// are kept as ablation baselines — see MemberEvaluator and EvalNaive,
-// and the benchmarks BenchmarkAblationVectorizedEval and
-// BenchmarkAblationKnowledgeMemo at the repository root.
+// are kept as ablation baselines and differential oracles — see
+// MemberEvaluator and EvalNaive, and the benchmarks
+// BenchmarkAblationVectorizedEval and BenchmarkAblationTemporalEval at
+// the repository root.
 type Evaluator struct {
 	u *universe.Universe
 

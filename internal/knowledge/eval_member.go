@@ -186,7 +186,7 @@ func (e *MemberEvaluator) Valid(f Formula) bool {
 }
 
 // EvalNaive evaluates f at member i with no memoization; it exists for
-// the memoization ablation benchmark and for differential testing. It
+// differential testing and the temporal ablation benchmark's naive arm. It
 // shares no machinery with the vectorized Evaluator: common knowledge
 // delegates to a fresh MemberEvaluator (the fixpoint is inherently
 // global), everything else recurses per member.

@@ -33,7 +33,7 @@ var (
 // universe was (or failed to be) produced.
 func materializations(source, outcome string) *obs.Counter {
 	return obs.Default.Counter("hpld_registry_materializations_total",
-		"Universe materializations by source (build, snapshot, extend) and outcome.",
+		"Universe materializations by source (build, snapshot) and outcome.",
 		"source", source, "outcome", outcome)
 }
 

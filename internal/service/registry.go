@@ -73,11 +73,10 @@ type Config struct {
 	// defaults to GOMAXPROCS.
 	BuildParallelism int
 	// SnapshotDir, when non-empty, persists universes across restarts:
-	// every built (or extended) universe is written to
-	// <dir>/<digest>.hplsnap, and a cold miss is satisfied from disk —
-	// a millisecond load instead of a re-enumeration — before any build
-	// runs. The directory must exist; unreadable or corrupt files are
-	// removed and fall back to a build.
+	// every built universe is written to <dir>/<digest>.hplsnap, and a
+	// cold miss is satisfied from disk — a millisecond load instead of a
+	// re-enumeration — before any build runs. The directory must exist;
+	// unreadable or corrupt files are removed and fall back to a build.
 	SnapshotDir string
 }
 
@@ -113,7 +112,6 @@ type Registry struct {
 
 	builds, hits, misses, evictions          int64
 	snapshotHits, snapshotMisses, snapErrors int64
-	extends                                  int64
 }
 
 // Entry sources: how the cached universe came to be resident.
@@ -123,15 +121,11 @@ const (
 	// SourceSnapshot: loaded from the snapshot directory without any
 	// enumeration.
 	SourceSnapshot = "snapshot"
-	// SourceExtend: enumerated incrementally from a cached universe of
-	// the same family at a smaller event bound.
-	SourceExtend = "extend"
 )
 
 // Entry is one cached universe with its session and accounting. The
 // fields are immutable after insertion except the registry-managed LRU
-// bookkeeping and the byte estimate, which is re-charged when an
-// extension starts sharing the entry's structure.
+// bookkeeping.
 type Entry struct {
 	// Spec is the canonical spec the universe was built from.
 	Spec hpl.UniverseSpec
@@ -140,38 +134,27 @@ type Entry struct {
 	// Checker is the shared session: concurrent queries reuse its
 	// memoized truth vectors.
 	Checker *hpl.Checker
-	// Source reports how the universe became resident: SourceBuild,
-	// SourceSnapshot, or SourceExtend.
+	// Source reports how the universe became resident: SourceBuild or
+	// SourceSnapshot.
 	Source string
 	// BuildDuration is how long it took to make the universe resident —
-	// enumeration + session setup for builds and extensions, the disk
-	// load for snapshots.
+	// enumeration + session setup for builds, the disk load for
+	// snapshots.
 	BuildDuration time.Duration
 	// BuiltAt is when the build completed.
 	BuiltAt time.Time
 
-	mu    sync.Mutex
+	// bytes is set once, before the entry is published.
 	bytes int64
-	hits  int64
-	elem  *list.Element
+
+	mu   sync.Mutex
+	hits int64
+	elem *list.Element
 }
 
 // Bytes reports the entry's estimated resident footprint (see
-// EstimateBytes). When a cached universe becomes the seed of an
-// extension, the extended entry charges their shared structure and the
-// seed is re-charged to its session-only estimate, so the two entries
-// together account the shared prefix tree once.
-func (e *Entry) Bytes() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.bytes
-}
-
-func (e *Entry) setBytes(b int64) {
-	e.mu.Lock()
-	e.bytes = b
-	e.mu.Unlock()
-}
+// EstimateBytes).
+func (e *Entry) Bytes() int64 { return e.bytes }
 
 // Hits reports how many cache hits the entry has served.
 func (e *Entry) Hits() int64 {
@@ -307,13 +290,12 @@ func (r *Registry) getOnce(ctx context.Context, spec hpl.UniverseSpec, digest st
 }
 
 // build runs one singleflight materialization and publishes the
-// result. "Materialize" is a three-rung fallback, cheapest first: load
-// a snapshot from disk, extend a cached universe of the same family at
-// a smaller bound, enumerate from scratch.
+// result. "Materialize" is a two-rung fallback, cheapest first: load a
+// snapshot from disk, else enumerate from scratch.
 func (r *Registry) build(ctx context.Context, c *call, spec hpl.UniverseSpec, digest string) {
 	defer c.cancel()
 	start := time.Now()
-	ck, source, seedDigest, err := r.materialize(ctx, spec, digest)
+	ck, source, err := r.materialize(ctx, spec, digest)
 
 	var e *Entry
 	switch {
@@ -335,8 +317,8 @@ func (r *Registry) build(ctx context.Context, c *call, spec hpl.UniverseSpec, di
 			Source:        source,
 			BuildDuration: time.Since(start),
 			BuiltAt:       time.Now(),
+			bytes:         bytes,
 		}
-		e.bytes = bytes
 		// Persist before publishing: once a waiter sees the entry, a
 		// restart must be able to serve it from disk.
 		if r.snapDir != "" && source != SourceSnapshot {
@@ -372,10 +354,6 @@ func (r *Registry) build(ctx context.Context, c *call, spec hpl.UniverseSpec, di
 	delete(r.calls, digest)
 	if e != nil {
 		r.insertLocked(e)
-		if source == SourceExtend {
-			r.extends++
-			r.rechargeSeedLocked(seedDigest)
-		}
 		r.updateGaugesLocked()
 	}
 	c.entry, c.err = e, err
@@ -391,93 +369,21 @@ func (r *Registry) updateGaugesLocked() {
 }
 
 // materialize produces the session for a miss by the cheapest means
-// available, reporting how (an entry Source) and, for extensions, the
-// digest of the seed entry whose accounting must be re-charged.
-func (r *Registry) materialize(ctx context.Context, spec hpl.UniverseSpec, digest string) (ck *hpl.Checker, source, seedDigest string, err error) {
+// available — a snapshot load, else a build — reporting how (an entry
+// Source).
+func (r *Registry) materialize(ctx context.Context, spec hpl.UniverseSpec, digest string) (*hpl.Checker, string, error) {
 	if r.snapDir != "" {
 		if ck := r.loadSnapshot(spec, digest); ck != nil {
-			return ck, SourceSnapshot, "", nil
+			return ck, SourceSnapshot, nil
 		}
-	}
-	if seed := r.findSeed(spec); seed != nil {
-		ck, err := r.extendFrom(ctx, seed, spec)
-		switch {
-		case err == nil:
-			return ck, SourceExtend, seed.Digest, nil
-		case errors.Is(err, hpl.ErrUniverseTooLarge) ||
-			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			// A full build would only re-derive the same outcome.
-			return nil, SourceExtend, "", err
-		}
-		// Anything else (a seed that cannot extend) falls through to a
-		// full build.
 	}
 	if r.injectFault != nil {
 		if ferr := r.injectFault("build", digest); ferr != nil {
-			return nil, SourceBuild, "", ferr
+			return nil, SourceBuild, ferr
 		}
 	}
-	ck, err = r.buildFn(ctx, spec)
-	return ck, SourceBuild, "", err
-}
-
-// familyKey identifies specs that differ only in their event bound —
-// the universes one of which incremental extension can grow into
-// another. The key is the digest of the canonical spec with the bound
-// pinned to an arbitrary fixed value.
-func familyKey(spec hpl.UniverseSpec) string {
-	c := spec.Canonical()
-	c.MaxEvents = 1
-	return c.Digest()
-}
-
-// findSeed returns the cached entry of spec's family with the largest
-// event bound strictly below spec's, or nil. It does not touch LRU
-// order: seeding an extension is not a client hit on the seed.
-func (r *Registry) findSeed(spec hpl.UniverseSpec) *Entry {
-	target := spec.Canonical()
-	fam := familyKey(spec)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var best *Entry
-	bestBound := -1
-	for _, e := range r.entries {
-		c := e.Spec.Canonical()
-		if c.MaxEvents >= target.MaxEvents || c.MaxEvents <= bestBound || familyKey(e.Spec) != fam {
-			continue
-		}
-		best, bestBound = e, c.MaxEvents
-	}
-	return best
-}
-
-// extendFrom grows the seed's universe to spec's bound incrementally —
-// enumerating only the frontier beyond the seed's bound — and opens a
-// fresh session over the result. The seed entry is untouched.
-func (r *Registry) extendFrom(ctx context.Context, seed *Entry, spec hpl.UniverseSpec) (*hpl.Checker, error) {
-	opts := append(spec.EnumOptions(),
-		hpl.WithContext(ctx), hpl.WithParallelism(r.buildPar))
-	u, err := hpl.ExtendUniverse(seed.Checker.Universe(), opts...)
-	if err != nil {
-		return nil, err
-	}
-	return hpl.NewChecker(u, spec.Predicates()...), nil
-}
-
-// rechargeSeedLocked re-charges a still-cached extension seed to its
-// session-only estimate: the extended entry now accounts their shared
-// structure (prefix tree, interned events), and double-charging it
-// would evict a neighbor for bytes that exist once.
-func (r *Registry) rechargeSeedLocked(seedDigest string) {
-	seed, ok := r.entries[seedDigest]
-	if !ok {
-		return // evicted while the extension ran; its bytes are gone
-	}
-	recharged := EstimateSessionBytes(seed.Checker.Universe())
-	if old := seed.Bytes(); recharged < old {
-		seed.setBytes(recharged)
-		r.bytes -= old - recharged
-	}
+	ck, err := r.buildFn(ctx, spec)
+	return ck, SourceBuild, err
 }
 
 // snapshotPath is the digest-named snapshot file of a universe.
@@ -515,12 +421,6 @@ func (r *Registry) loadSnapshot(spec hpl.UniverseSpec, digest string) *hpl.Check
 		os.Remove(path)
 		return miss()
 	}
-	sys, err := spec.System()
-	if err != nil {
-		return miss()
-	}
-	// Re-bind the protocol so the loaded universe can seed extensions.
-	u.BindProtocol(sys)
 	r.mu.Lock()
 	r.snapshotHits++
 	r.mu.Unlock()
@@ -609,14 +509,11 @@ type Stats struct {
 	// InflightBuilds counts builds currently running.
 	InflightBuilds int `json:"inflightBuilds"`
 	// SnapshotHits counts cold misses served from the snapshot
-	// directory, SnapshotMisses the misses that fell through to an
-	// extension or build, SnapshotErrors failed best-effort writes.
+	// directory, SnapshotMisses the misses that fell through to a
+	// build, SnapshotErrors failed best-effort writes.
 	SnapshotHits   int64 `json:"snapshotHits"`
 	SnapshotMisses int64 `json:"snapshotMisses"`
 	SnapshotErrors int64 `json:"snapshotErrors"`
-	// Extends counts universes materialized by incrementally extending a
-	// cached universe of the same family at a smaller event bound.
-	Extends int64 `json:"extends"`
 }
 
 // Stats returns a consistent snapshot.
@@ -635,7 +532,6 @@ func (r *Registry) Stats() Stats {
 		SnapshotHits:   r.snapshotHits,
 		SnapshotMisses: r.snapshotMisses,
 		SnapshotErrors: r.snapErrors,
-		Extends:        r.extends,
 	}
 }
 
@@ -643,18 +539,10 @@ func (r *Registry) Stats() Stats {
 // engine structures a hot session grows over it: per member, the
 // structural-sharing computation node, hash-index slot and a share of
 // the partition tables, transition graph and truth vectors; per event,
-// the interned projection and hash state. It is an estimate — the cache
+// the interned event and hash state. It is an estimate — the cache
 // budget is advisory accounting, not an allocator — but it scales with
 // the real cost drivers (members and total events) and errs high.
 func EstimateBytes(u *hpl.Universe) int64 {
-	return EstimateStructureBytes(u) + EstimateSessionBytes(u)
-}
-
-// EstimateStructureBytes is the structural half of EstimateBytes: the
-// prefix-tree nodes, interned events and hash index the universe itself
-// owns. When one universe is extended into another they share this
-// structure, so only the larger entry is charged for it.
-func EstimateStructureBytes(u *hpl.Universe) int64 {
 	var events int64
 	n := u.Len()
 	for i := 0; i < n; i++ {
@@ -665,22 +553,14 @@ func EstimateStructureBytes(u *hpl.Universe) int64 {
 	// member-hash index (a map[Hash128]int32 bucket entry): the universe
 	// builds it lazily on the first IndexOf, but every query session
 	// triggers that within its first Holds call, so a hot entry always
-	// carries it and the cache must account for it up front.
-	const perMember, perHashSlot, perEvent = 96, 40, 48
-	b := int64(n)*(perMember+perHashSlot) + events*perEvent
+	// carries it and the cache must account for it up front. perSession
+	// covers the partition tables, transition graph and memoized truth
+	// vectors a hot session grows per member.
+	const perMember, perHashSlot, perSession, perEvent = 96, 40, 96, 48
+	b := int64(n)*(perMember+perHashSlot+perSession) + events*perEvent
 	if u.IsQuotient() {
 		// Orbit-size table: one int64 per member.
 		b += int64(n) * 8
 	}
 	return b
-}
-
-// EstimateSessionBytes is the per-session half of EstimateBytes: the
-// partition tables, transition graph and memoized truth vectors a hot
-// session grows per member. An extension seed keeps paying this — its
-// session stays independently queryable — after its structure is
-// re-charged to the extended entry.
-func EstimateSessionBytes(u *hpl.Universe) int64 {
-	const perMember = 96
-	return int64(u.Len()) * perMember
 }

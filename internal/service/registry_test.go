@@ -249,18 +249,34 @@ func TestGetAfterAbandonedBuildRebuilds(t *testing.T) {
 
 // TestEstimateBytesScales sanity-checks the accounting estimate: a
 // larger universe must account strictly larger, and every universe
-// accounts nonzero.
+// accounts nonzero. The two specs differ only in their event bound, and
+// the larger one must still be built from scratch and charged in full:
+// the registry's byte count is exactly the sum of both estimates.
 func TestEstimateBytesScales(t *testing.T) {
-	small, err := hpl.CheckSpec(smallSpec("p", "q"))
+	small := smallSpec("p", "q") // MaxEvents: 3
+	big := small
+	big.MaxEvents = 4
+	r := NewRegistry(Config{})
+	es, _, err := r.Get(context.Background(), small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := hpl.CheckSpec(hpl.UniverseSpec{Procs: []hpl.ProcID{"p", "q"}, MaxSends: 1, MaxEvents: 4})
+	eb, _, err := r.Get(context.Background(), big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, bb := EstimateBytes(small.Universe()), EstimateBytes(big.Universe())
+	sb, bb := EstimateBytes(es.Checker.Universe()), EstimateBytes(eb.Checker.Universe())
 	if sb <= 0 || bb <= sb {
 		t.Errorf("estimate does not scale: small=%d big=%d", sb, bb)
+	}
+	if eb.Source != SourceBuild {
+		t.Errorf("larger bound of a cached family: source = %q, want %q", eb.Source, SourceBuild)
+	}
+	st := r.Stats()
+	if st.Builds != 2 {
+		t.Errorf("builds = %d, want 2", st.Builds)
+	}
+	if st.Bytes != sb+bb {
+		t.Errorf("registry bytes = %d, want the sum of both estimates %d", st.Bytes, sb+bb)
 	}
 }

@@ -88,9 +88,8 @@ type StatsResponse struct {
 	Symmetry    string `json:"symmetry,omitempty"`
 	FullMembers int64  `json:"fullMembers,omitempty"`
 	MaxOrbit    int64  `json:"maxOrbit,omitempty"`
-	// Source reports how the universe became resident: "build",
-	// "snapshot" (loaded from the snapshot directory), or "extend"
-	// (grown incrementally from a smaller cached bound).
+	// Source reports how the universe became resident: "build" or
+	// "snapshot" (loaded from the snapshot directory).
 	Source      string   `json:"source"`
 	BuildMillis float64  `json:"buildMillis"`
 	Atoms       []string `json:"atoms"`
@@ -187,13 +186,13 @@ func WithSlowQueryLog(threshold time.Duration) ServerOption {
 }
 
 // WithRequestTimeout bounds every universe-touching request: if the
-// universe cannot be produced (built, extended, or loaded) within d,
-// the client receives a structured 503 with code deadline_exceeded —
-// a transient verdict, since a concurrent or later request may find
-// the universe hot. d <= 0 disables. The timeout composes with the
-// client's own context: whichever deadline lands first cancels the
-// build wait (the build itself keeps running for remaining waiters,
-// per the registry's detach semantics).
+// universe cannot be produced (built or loaded) within d, the client
+// receives a structured 503 with code deadline_exceeded — a transient
+// verdict, since a concurrent or later request may find the universe
+// hot. d <= 0 disables. The timeout composes with the client's own
+// context: whichever deadline lands first cancels the build wait (the
+// build itself keeps running for remaining waiters, per the registry's
+// detach semantics).
 func WithRequestTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.reqTimeout = d }
 }

@@ -187,107 +187,6 @@ func TestCorruptSnapshotFallsBackToBuild(t *testing.T) {
 	}
 }
 
-// TestExtendFromCachedSmallerBound checks the middle materialization
-// rung: a miss whose family is cached at a smaller event bound is
-// served by incremental extension, the result matches a from-scratch
-// build, and the byte accounting stops double-charging the structure
-// the two entries now share.
-func TestExtendFromCachedSmallerBound(t *testing.T) {
-	small := smallSpec("p", "q") // MaxEvents: 3
-	big := small
-	big.MaxEvents = 4
-
-	r := NewRegistry(Config{})
-	seed, _, err := r.Get(context.Background(), small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedFull := seed.Bytes()
-	r.buildFn = func(ctx context.Context, spec hpl.UniverseSpec) (*hpl.Checker, error) {
-		return nil, errors.New("family miss fell back to a full build")
-	}
-	e, _, err := r.Get(context.Background(), big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Source != SourceExtend {
-		t.Errorf("source = %q, want %q", e.Source, SourceExtend)
-	}
-
-	// The extended universe must be indistinguishable from a fresh one.
-	want, err := hpl.CheckSpec(big.Canonical())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Checker.Universe().Len() != want.Universe().Len() {
-		t.Errorf("extended universe has %d members, from-scratch %d",
-			e.Checker.Universe().Len(), want.Universe().Len())
-	}
-	rep, err := e.Checker.ParseAndCheck(`K{q} "sent(p,m)" -> "sent(p,m)"`)
-	if err != nil || !rep.Valid() {
-		t.Errorf("extended session verdict: valid=%v err=%v", rep.Valid(), err)
-	}
-
-	// Re-charge arithmetic: the seed now pays only its session share,
-	// the extended entry the full estimate, and the global byte count is
-	// exactly the sum of the entries.
-	if got, want := seed.Bytes(), EstimateSessionBytes(seed.Checker.Universe()); got != want {
-		t.Errorf("seed re-charge: %d bytes, want session-only %d (was %d)", got, want, seedFull)
-	}
-	if seed.Bytes() >= seedFull {
-		t.Errorf("seed not re-charged below its full estimate: %d >= %d", seed.Bytes(), seedFull)
-	}
-	st := r.Stats()
-	if st.Extends != 1 {
-		t.Errorf("extend not counted: %+v", st)
-	}
-	if sum := seed.Bytes() + e.Bytes(); st.Bytes != sum {
-		t.Errorf("global bytes %d != entry sum %d after re-charge", st.Bytes, sum)
-	}
-}
-
-// TestSnapshotSeedsExtension closes the tentpole loop end to end: a
-// restarted registry loads a MaxEvents=3 universe from disk, and the
-// next query at MaxEvents=4 is materialized by extending that loaded
-// universe — no full enumeration anywhere after the restart.
-func TestSnapshotSeedsExtension(t *testing.T) {
-	dir := t.TempDir()
-	small := smallSpec("p", "q")
-	big := small
-	big.MaxEvents = 4
-	warm := NewRegistry(Config{SnapshotDir: dir})
-	if _, _, err := warm.Get(context.Background(), small); err != nil {
-		t.Fatal(err)
-	}
-
-	cold := NewRegistry(Config{SnapshotDir: dir})
-	cold.buildFn = func(ctx context.Context, spec hpl.UniverseSpec) (*hpl.Checker, error) {
-		return nil, errors.New("restart re-enumerated from scratch")
-	}
-	if e, _, err := cold.Get(context.Background(), small); err != nil || e.Source != SourceSnapshot {
-		t.Fatalf("cold small: source=%v err=%v", e, err)
-	}
-	e, _, err := cold.Get(context.Background(), big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Source != SourceExtend {
-		t.Errorf("big after restart: source = %q, want %q", e.Source, SourceExtend)
-	}
-	want, err := hpl.CheckSpec(big.Canonical())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Checker.Universe().Len() != want.Universe().Len() {
-		t.Errorf("snapshot-seeded extension has %d members, want %d",
-			e.Checker.Universe().Len(), want.Universe().Len())
-	}
-	// The extension itself must have been persisted for the next restart.
-	if _, err := os.Stat(cold.snapshotPath(e.Digest)); err != nil {
-		t.Errorf("extended universe not persisted: %v", err)
-	}
-}
-
 // TestServerReportsSource checks the wire surface: /v1/universe-stats
 // carries the entry's source, "build" on first contact and "snapshot"
 // after a server restart over the same directory.

@@ -80,12 +80,6 @@ type engine struct {
 	// representative per renaming orbit.
 	grp *symGroup
 
-	// noEmitLen marks the seed horizon of an extension run: nodes of
-	// that length or shorter are expanded but neither claimed nor
-	// emitted — they are already members of the universe being extended.
-	// -1 for from-scratch runs, so the null computation is emitted.
-	noEmitLen int
-
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   []enode
@@ -108,8 +102,8 @@ type engine struct {
 
 	// outs collects emitted nodes per worker; merged and sorted once the
 	// pool drains. Keeping the whole node (not just the computation)
-	// preserves each member's interned state vector, which Extend needs
-	// to re-seed the next frontier without replaying the protocol.
+	// preserves each member's interned state vector, which the snapshot
+	// encoder writes.
 	outs [][]enode
 }
 
@@ -174,26 +168,6 @@ func EnumerateWith(p Protocol, opts ...Option) (*Universe, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return enumerate(p, cfg, nil)
-}
-
-// seedState re-seeds an enumeration from an existing universe: svs[i]
-// is the interned identifier (in states) of base member i's local-state
-// vector. Extend constructs it; enumerate consumes it by queueing the
-// base's frontier — its members of exactly maxEvents length — instead
-// of the null computation. Completeness below the old bound is what
-// makes this sound: a bound-n universe contains every computation of
-// length < n together with all of their children, so only the length-n
-// members have unexplored extensions.
-type seedState struct {
-	base   *Universe
-	states *stateTable
-	svs    []int32
-}
-
-// enumerate is the engine body shared by EnumerateWith (seed == nil)
-// and Extend.
-func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 	procs := p.Procs()
 	all := trace.NewProcSet(procs...)
 	n := len(procs)
@@ -241,58 +215,33 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 	}
 
 	states := newStateTable()
-	if seed != nil {
-		states = seed.states
-	}
-
 	nshards := 1
 	if cfg.parallelism > 1 {
 		nshards = 64
 	}
 	e := &engine{
-		p:         p,
-		cfg:       cfg,
-		procs:     procs,
-		procIdx:   procIdx,
-		eventIDs:  eventIDs,
-		msgIDs:    msgIDs,
-		states:    states,
-		grp:       grp,
-		noEmitLen: -1,
-		shards:    make([]dedupShard, nshards),
-		outs:      make([][]enode, cfg.parallelism),
+		p:        p,
+		cfg:      cfg,
+		procs:    procs,
+		procIdx:  procIdx,
+		eventIDs: eventIDs,
+		msgIDs:   msgIDs,
+		states:   states,
+		grp:      grp,
+		shards:   make([]dedupShard, nshards),
+		outs:     make([][]enode, cfg.parallelism),
 	}
 	for i := range e.shards {
 		e.shards[i].t = newHashTable(cfg.hashVerify)
 	}
 	e.cond = sync.NewCond(&e.mu)
-	if seed != nil {
-		// Queue the old frontier. Every new member has length above the
-		// seed horizon while every old member is at or below it, so the
-		// fresh (empty) dedup shards are sound: no new computation can
-		// collide with an old one on (hash, length). The emit counter
-		// starts at the base size so cap and progress semantics match a
-		// from-scratch run of the larger bound.
-		e.noEmitLen = seed.base.maxEvents
-		e.emitted.Store(int64(seed.base.Len()))
-		for i := 0; i < seed.base.Len(); i++ {
-			if c := seed.base.At(i); c.Len() == seed.base.maxEvents {
-				nd := enode{comp: c, sv: seed.svs[i]}
-				if grp != nil {
-					nd.mask = e.supportMask(c)
-				}
-				e.queue = append(e.queue, nd)
-			}
-		}
-	} else {
-		vec0 := make([]string, n)
-		for i, id := range procs {
-			vec0[i] = p.Init(id)
-		}
-		sv0, _ := states.intern(vec0, nil)
-		e.queue = []enode{{comp: trace.Empty(), sv: sv0}}
+	vec0 := make([]string, n)
+	for i, id := range procs {
+		vec0[i] = p.Init(id)
 	}
-	e.frontier.Store(int64(len(e.queue)))
+	sv0, _ := states.intern(vec0, nil)
+	e.queue = []enode{{comp: trace.Empty(), sv: sv0}}
+	e.frontier.Store(1)
 
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.parallelism; w++ {
@@ -339,16 +288,16 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 	for _, out := range e.outs {
 		total += len(out)
 	}
-	fresh := make([]enode, 0, total)
+	nodes := make([]enode, 0, total)
 	for _, out := range e.outs {
-		fresh = append(fresh, out...)
+		nodes = append(nodes, out...)
 	}
 	// Canonical order: (length, hash). String keys are materialized
 	// only on a full 128-bit tie between distinct equal-length members,
 	// which cannot occur in practice (and under WithHashVerify cannot
 	// occur at all without failing the run first).
-	sort.Slice(fresh, func(i, j int) bool {
-		ci, cj := fresh[i].comp, fresh[j].comp
+	sort.Slice(nodes, func(i, j int) bool {
+		ci, cj := nodes[i].comp, nodes[j].comp
 		if ci.Len() != cj.Len() {
 			return ci.Len() < cj.Len()
 		}
@@ -358,24 +307,10 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 		}
 		return ci.Key() < cj.Key()
 	})
-	// An extension's members are the base's (all shorter, already in
-	// canonical order) followed by the fresh ones: because length is the
-	// primary sort key and every fresh member is strictly longer than
-	// every old one, the concatenation is the global canonical order — a
-	// from-scratch build of the larger bound sorts to exactly this.
-	baseLen := 0
-	if seed != nil {
-		baseLen = seed.base.Len()
-	}
-	comps := make([]*trace.Computation, 0, baseLen+len(fresh))
-	svs := make([]int32, 0, baseLen+len(fresh))
-	if seed != nil {
-		comps = append(comps, seed.base.comps...)
-		svs = append(svs, seed.svs...)
-	}
-	for _, nd := range fresh {
-		comps = append(comps, nd.comp)
-		svs = append(svs, nd.sv)
+	comps := make([]*trace.Computation, len(nodes))
+	svs := make([]int32, len(nodes))
+	for i, nd := range nodes {
+		comps[i], svs[i] = nd.comp, nd.sv
 	}
 	if cfg.progress != nil {
 		cfg.progress(Progress{Explored: len(comps)})
@@ -383,24 +318,18 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 	// The engine's sharded dedup already guarantees distinct members in
 	// canonical order, so skip New's dedup pass and its eager hash index.
 	u := newSorted(comps, all)
-	u.proto = p
 	u.maxEvents = cfg.maxEvents
 	u.states = states
 	u.memberSV = svs
 	if grp != nil {
 		// Quotient bookkeeping: each member's orbit size, and the full
-		// universe's cardinality as their sum — the exact count a
-		// from-scratch run without the group would have produced.
-		orbs := make([]int64, 0, baseLen+len(fresh))
-		if seed != nil {
-			orbs = append(orbs, seed.base.orbitSize...)
-		}
-		for _, nd := range fresh {
-			orbs = append(orbs, grp.orbitSize(nd.mask))
-		}
+		// universe's cardinality as their sum — the exact count a run
+		// without the group would have produced.
+		orbs := make([]int64, len(nodes))
 		var full int64
-		for _, o := range orbs {
-			full += o
+		for i, nd := range nodes {
+			orbs[i] = grp.orbitSize(nd.mask)
+			full += orbs[i]
 		}
 		u.sym = cfg.sym
 		u.orbitSize = orbs
@@ -513,22 +442,17 @@ func (w *worker) expand(nd enode, children *[]enode) error {
 		return err
 	}
 	c := nd.comp
-	// Nodes at or below the seed horizon are already members of the
-	// universe being extended: expand them, but claim and emit only
-	// their descendants.
-	if c.Len() > e.noEmitLen {
-		fresh, err := e.claim(c)
-		if err != nil || !fresh {
-			return err
-		}
-		e.outs[w.id] = append(e.outs[w.id], nd)
-		count := e.emitted.Add(1)
-		if e.cfg.capN > 0 && count > int64(e.cfg.capN) {
-			return fmt.Errorf("%w: more than %d computations", ErrTooLarge, e.cfg.capN)
-		}
-		if e.cfg.progress != nil && count%int64(e.cfg.progressEvery) == 0 {
-			e.reportProgress()
-		}
+	fresh, err := e.claim(c)
+	if err != nil || !fresh {
+		return err
+	}
+	e.outs[w.id] = append(e.outs[w.id], nd)
+	count := e.emitted.Add(1)
+	if e.cfg.capN > 0 && count > int64(e.cfg.capN) {
+		return fmt.Errorf("%w: more than %d computations", ErrTooLarge, e.cfg.capN)
+	}
+	if e.cfg.progress != nil && count%int64(e.cfg.progressEvery) == 0 {
+		e.reportProgress()
 	}
 
 	if c.Len() >= e.cfg.maxEvents {
@@ -679,24 +603,6 @@ func (w *worker) stabFor(mask uint64) []int32 {
 	}
 	w.stabCache[mask] = s
 	return s
-}
-
-// supportMask recomputes a computation's support mask by walking its
-// chain; the engine uses it only to seed extension frontiers (fresh
-// nodes carry masks incrementally).
-func (e *engine) supportMask(c *trace.Computation) uint64 {
-	var mask uint64
-	for node := c; ; {
-		ev, ok := node.Last()
-		if !ok {
-			return mask
-		}
-		mask |= 1 << uint(e.procIdx[ev.Proc])
-		if ev.Peer != "" {
-			mask |= 1 << uint(e.procIdx[ev.Peer])
-		}
-		node = node.Parent()
-	}
 }
 
 // loadChain recovers the expansion state of c into the worker's scratch

@@ -15,7 +15,7 @@ var (
 	phaseSnapDecode   = buildPhase("snapshot_decode")
 
 	engineBuilds = obs.Default.Counter("hpl_engine_builds_total",
-		"Completed universe enumerations, including extensions.")
+		"Completed universe enumerations.")
 	engineMembers = obs.Default.Counter("hpl_engine_members_total",
 		"Members held by completed enumerations (quotient members for symmetric builds).")
 	symChecksTotal = obs.Default.Counter("hpl_engine_sym_stabilizer_checks_total",

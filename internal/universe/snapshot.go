@@ -16,8 +16,8 @@ import (
 // Snapshot codec: a versioned, length-prefixed binary dump of an
 // enumerated universe — members, interned state-vector table, built
 // partition tables, and the transition graph — as a handful of flat
-// arrays, so a process restart (or a bound increase via Extend) loads
-// in milliseconds instead of re-enumerating.
+// arrays, so a process restart loads in milliseconds instead of
+// re-enumerating.
 //
 // File layout:
 //
@@ -85,7 +85,7 @@ const (
 var snapshotCRC = crc64.MakeTable(crc64.ECMA)
 
 // WriteSnapshot writes the universe and its digest key to w. The
-// universe must come from EnumerateWith, Extend, or ReadSnapshot —
+// universe must come from EnumerateWith or ReadSnapshot —
 // snapshots persist enumeration state (canonical order, state vectors)
 // that hand-built universes do not carry. Partition tables and the
 // transition graph are included exactly when already built; the output
@@ -244,10 +244,10 @@ func WriteSnapshot(w io.Writer, u *Universe, digest string) error {
 
 // ReadSnapshot loads a universe and its digest key from r. The loaded
 // universe answers every query the original did — partition tables and
-// the transition graph included in the snapshot are pre-installed — and
-// becomes extendable again after BindProtocol. Malformed input returns
-// a structured error (ErrSnapshotFormat, ErrSnapshotVersion,
-// ErrSnapshotTruncated, or ErrSnapshotCorrupt), never a panic.
+// the transition graph included in the snapshot are pre-installed.
+// Malformed input returns a structured error (ErrSnapshotFormat,
+// ErrSnapshotVersion, ErrSnapshotTruncated, or ErrSnapshotCorrupt),
+// never a panic.
 func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 	// No universe (hence no per-build trace) exists yet; decode time
 	// goes to the global phase histogram only.
@@ -339,7 +339,7 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 	}
 	// Canonical order is asserted by the writer; re-verify it rather
 	// than trusting the file, since everything downstream (Transitions
-	// identity order, Extend's concatenation) leans on it.
+	// identity order, the skipped dedup pass) leans on it.
 	for i := 1; i < len(comps) && sr.err == nil; i++ {
 		a, b := comps[i-1], comps[i]
 		if a.Len() > b.Len() || (a.Len() == b.Len() && !a.Hash().Less(b.Hash())) {

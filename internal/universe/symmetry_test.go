@@ -2,7 +2,6 @@ package universe_test
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
@@ -245,47 +244,6 @@ func TestQuotientDeterministic(t *testing.T) {
 	}
 }
 
-// TestQuotientExtend checks that extending a quotient matches the
-// from-scratch quotient at the larger bound, orbit sizes included, and
-// that symmetry mismatches between seed and extension are rejected.
-func TestQuotientExtend(t *testing.T) {
-	proto := universe.NewFree(universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 1})
-	sym := universe.InferSymmetry(proto)
-	base, err := universe.EnumerateWith(proto, universe.WithMaxEvents(3), universe.WithSymmetry(sym))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := universe.Extend(base, universe.WithMaxEvents(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := universe.EnumerateWith(proto, universe.WithMaxEvents(5), universe.WithSymmetry(sym))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalUniverses(t, "extended quotient", got, want)
-	if got.FullSize() != want.FullSize() {
-		t.Fatalf("FullSize %d vs %d", got.FullSize(), want.FullSize())
-	}
-	for i := 0; i < got.Len(); i++ {
-		if got.OrbitSize(i) != want.OrbitSize(i) {
-			t.Fatalf("member %d orbit size %d vs %d", i, got.OrbitSize(i), want.OrbitSize(i))
-		}
-	}
-
-	partial, err := universe.NewSymmetry([]trace.ProcID{"p", "q"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := universe.Extend(base, universe.WithMaxEvents(6), universe.WithSymmetry(partial)); !errors.Is(err, universe.ErrCannotExtend) {
-		t.Fatalf("extending under a different group must fail, got %v", err)
-	}
-	full := universe.MustEnumerateWith(proto, universe.WithMaxEvents(3))
-	if _, err := universe.Extend(full, universe.WithMaxEvents(5), universe.WithSymmetry(sym)); !errors.Is(err, universe.ErrCannotExtend) {
-		t.Fatalf("quotienting a full seed must fail, got %v", err)
-	}
-}
-
 // TestSymmetryRequiresInterchangeableInit rejects groups whose classes
 // mix processes with different initial states (the root would not be
 // stabilized) and classes mentioning unknown processes.
@@ -309,8 +267,8 @@ func TestSymmetryRequiresInterchangeableInit(t *testing.T) {
 }
 
 // TestQuotientSnapshotRoundTrip: a quotient snapshot (format version 2)
-// restores the group, orbit sizes, and full count, stays extendable
-// after BindProtocol, and never persists partition tables.
+// restores the group, orbit sizes, and full count, and never persists
+// partition tables.
 func TestQuotientSnapshotRoundTrip(t *testing.T) {
 	proto := universe.NewFree(universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 1})
 	sym := universe.InferSymmetry(proto)
@@ -343,17 +301,6 @@ func TestQuotientSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	requireIdenticalUniverses(t, "quotient snapshot", got, u)
-
-	got.BindProtocol(proto)
-	ext, err := universe.Extend(got, universe.WithMaxEvents(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := universe.EnumerateWith(proto, universe.WithMaxEvents(5), universe.WithSymmetry(sym))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalUniverses(t, "extended snapshot quotient", ext, want)
 
 	// Corruption sweep over the version-2 format: truncations and bit
 	// flips must fail with structured errors, never load.

@@ -91,7 +91,7 @@ func TestWithTraceSymmetryPhase(t *testing.T) {
 // without WithTrace: a plain build moves the build counters.
 func TestUntracedBuildStillCounts(t *testing.T) {
 	before := obs.Default.Counter("hpl_engine_builds_total",
-		"Completed universe enumerations, including extensions.").Value()
+		"Completed universe enumerations.").Value()
 	p := universe.NewFree(universe.FreeConfig{
 		Procs:    []trace.ProcID{"p", "q"},
 		MaxSends: 1,
@@ -100,7 +100,7 @@ func TestUntracedBuildStillCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := obs.Default.Counter("hpl_engine_builds_total",
-		"Completed universe enumerations, including extensions.").Value()
+		"Completed universe enumerations.").Value()
 	if after <= before {
 		t.Errorf("hpl_engine_builds_total did not move: %d -> %d", before, after)
 	}

@@ -10,8 +10,8 @@
 // per universe: the isomorphism class of x with respect to P is an array
 // index rather than a scan or a string-map probe. Tables are built on
 // first use and are safe to share between concurrent evaluators. The
-// ablation benchmarks BenchmarkAblationProjectionIndex and
-// BenchmarkAblationPartitionTable measure what that buys.
+// ablation benchmark BenchmarkAblationPartitionTable measures what that
+// buys against a string-keyed projection map.
 package universe
 
 import (
@@ -65,18 +65,13 @@ type Universe struct {
 	transOnce sync.Once
 	trans     atomic.Pointer[Transitions]
 
-	// proto is the protocol the universe was enumerated from; nil for
-	// hand-built (New) universes and snapshot loads until BindProtocol.
-	proto Protocol
 	// maxEvents is the event bound the universe was enumerated under;
-	// -1 when unknown (hand-built universes). Extend seeds its frontier
-	// from the members of exactly this length.
+	// -1 when unknown (hand-built universes).
 	maxEvents int
 	// states interns the per-process local-state vectors of the
-	// enumeration, and memberSV records each member's interned vector —
-	// retained so Extend can re-seed the engine's frontier without
-	// replaying the protocol over every member. Nil for hand-built
-	// universes; Extend reconstructs them by replay in that case.
+	// enumeration, and memberSV records each member's interned vector.
+	// Only the snapshot codec reads them: it persists both, so a loaded
+	// universe re-encodes byte-identically. Nil for hand-built universes.
 	states   *stateTable
 	memberSV []int32
 
@@ -184,9 +179,8 @@ func (u *Universe) ClassRef(x *trace.Computation, p trace.ProcSet) []int {
 	return nil
 }
 
-// ClassScan is Class computed by pairwise comparison without the index;
-// it exists for the projection-index ablation benchmark and for
-// cross-checking the index in tests.
+// ClassScan is Class computed by pairwise comparison without the
+// partition tables; it exists for cross-checking the tables in tests.
 func (u *Universe) ClassScan(x *trace.Computation, p trace.ProcSet) []int {
 	var out []int
 	for i, c := range u.comps {
@@ -203,11 +197,6 @@ func (u *Universe) Computations() []*trace.Computation {
 	copy(cp, u.comps)
 	return cp
 }
-
-// Protocol returns the protocol the universe was enumerated from, or
-// nil for hand-built universes and snapshot loads that have not been
-// re-bound with BindProtocol.
-func (u *Universe) Protocol() Protocol { return u.proto }
 
 // Symmetry returns the process-symmetry group the universe was
 // quotiented by (see WithSymmetry), or nil for full universes.
@@ -239,13 +228,6 @@ func (u *Universe) FullSize() int64 {
 // MaxEvents returns the event bound the universe was enumerated under,
 // or -1 when unknown (hand-built universes).
 func (u *Universe) MaxEvents() int { return u.maxEvents }
-
-// BindProtocol attaches the protocol a snapshot-loaded universe was
-// originally enumerated from, enabling Extend. The caller is
-// responsible for passing the same protocol (the snapshot stores the
-// spec digest, not the protocol itself); binding a different one makes
-// Extend produce garbage, exactly as lying to NewChecker would.
-func (u *Universe) BindProtocol(p Protocol) { u.proto = p }
 
 // Action is a spontaneous protocol step: a send or an internal event.
 type Action struct {
