@@ -186,8 +186,8 @@ func BenchmarkEnumerateFaults(b *testing.B) {
 // histograms recording — the observability overhead gate. Tracing is
 // meant to be cheap enough to leave on in production (span timestamps
 // only at phase boundaries, per-node costs batched into worker-local
-// counters), and the recorded BENCH rows hold it to that: this row must
-// stay within ~2% of the untraced workers=1 row.
+// counters): this row should stay within ~2% of the untraced workers=1
+// row.
 func BenchmarkEnumerateLargeTraced(b *testing.B) {
 	cfg := universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 2}
 	b.Run("workers=1", func(b *testing.B) {
@@ -215,11 +215,11 @@ func BenchmarkEnumerateLargeTraced(b *testing.B) {
 // quotient under the full interchange group, at the 16.9k (MaxEvents=5)
 // and 107k (MaxEvents=6) bounds. Each row reports both the member count
 // it materialized and the full-universe count it stands for
-// (full-members), so the recorded BENCH_8.json rows carry the reduction
-// ratio — 107,593 → 17,933 (6.00×) at MaxEvents=6 — next to the time
-// saved. The quotient arms pay per-child canonicalization against the
-// parent's stabilizer, so the speedup is below the member ratio; the
-// win compounds through every downstream pass (partitions, truth
+// (full-members), so each run reports the reduction ratio — 107,593 →
+// 17,933 (6.00×) at MaxEvents=6 — next to the time saved. The
+// quotient arms pay per-child canonicalization against the parent's
+// stabilizer, so the speedup is below the member ratio; the win
+// compounds through every downstream pass (partitions, truth
 // vectors, temporal sweeps) that now touches one member per orbit.
 func BenchmarkEnumerateSymmetry(b *testing.B) {
 	cfg := universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 2}

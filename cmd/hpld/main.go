@@ -45,8 +45,13 @@
 // query for it is answered by a millisecond disk load instead of a
 // re-enumeration (source "snapshot" in /v1/universe-stats).
 //
+// Connections are bounded too: a client has readHeaderTimeout to send
+// its request header, and an idle keep-alive connection is closed after
+// idleTimeout, so a client that connects and stays silent cannot hold a
+// goroutine and a file descriptor indefinitely.
+//
 // The companion client mode is `mck -server http://host:port '<formula>'`;
-// cmd/hplbench drives load against a running daemon.
+// `bash perfbench/run.sh` measures the service handler under load.
 package main
 
 import (
@@ -63,6 +68,22 @@ import (
 
 	"hpl/internal/service"
 )
+
+// Per-connection deadlines; see the package doc.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the daemon's HTTP server on addr.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 func main() {
 	fs := flag.NewFlagSet("hpld", flag.ExitOnError)
@@ -99,10 +120,7 @@ func main() {
 	if *reqTimeout > 0 {
 		opts = append(opts, service.WithRequestTimeout(*reqTimeout))
 	}
-	srv := &http.Server{
-		Addr:    *addr,
-		Handler: service.NewServer(reg, opts...),
-	}
+	srv := newHTTPServer(*addr, service.NewServer(reg, opts...))
 
 	if *pprofAddr != "" {
 		// The pprof import registers on http.DefaultServeMux; serving it

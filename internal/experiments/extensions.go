@@ -266,6 +266,6 @@ func LargeBound() (Table, error) {
 		t.Rows = append(t.Rows, []string{itoa(maxEvents), itoa(u.Len()), truth, gain, loss})
 	}
 	t.Notes = append(t.Notes,
-		"enumeration, partitioning, and both epistemic and temporal evaluation at >100k members; see BENCH_5.json for the engine numbers")
+		"enumeration, partitioning, and both epistemic and temporal evaluation at >100k members; `bash perfbench/run.sh --workload cold-start` times the engine")
 	return t, nil
 }

@@ -155,31 +155,34 @@ func (m Model) String() string {
 // faults field: "" or "none" is reliable; otherwise comma-separated
 // tokens "crash" (every process may crash), "crash:<proc>" (that
 // process may crash), "drop:<n>" and "dup:<n>" (per-process budgets).
+// Keywords match in any letter case; process names are kept verbatim,
+// so "CRASH:P" and "crash:P" name process P, not p.
 func Parse(s string) (Model, error) {
 	var m Model
 	s = strings.TrimSpace(s)
-	if s == "" || s == "none" {
+	if s == "" || strings.EqualFold(s, "none") {
 		return m, nil
 	}
 	for _, tok := range strings.Split(s, ",") {
 		tok = strings.TrimSpace(tok)
-		switch {
-		case tok == "crash":
+		kw, arg, hasArg := strings.Cut(tok, ":")
+		switch kw = strings.ToLower(kw); {
+		case kw == "crash" && !hasArg:
 			m.CrashAll = true
-		case strings.HasPrefix(tok, "crash:"):
-			p := strings.TrimSpace(strings.TrimPrefix(tok, "crash:"))
+		case kw == "crash":
+			p := strings.TrimSpace(arg)
 			if p == "" {
 				return Model{}, fmt.Errorf("faults: empty process in %q", tok)
 			}
 			m.Crash = append(m.Crash, trace.ProcID(p))
-		case strings.HasPrefix(tok, "drop:"):
-			n, err := strconv.Atoi(strings.TrimPrefix(tok, "drop:"))
+		case kw == "drop" && hasArg:
+			n, err := strconv.Atoi(arg)
 			if err != nil || n < 0 {
 				return Model{}, fmt.Errorf("faults: bad drop budget %q", tok)
 			}
 			m.Drops = n
-		case strings.HasPrefix(tok, "dup:"):
-			n, err := strconv.Atoi(strings.TrimPrefix(tok, "dup:"))
+		case kw == "dup" && hasArg:
+			n, err := strconv.Atoi(arg)
 			if err != nil || n < 0 {
 				return Model{}, fmt.Errorf("faults: bad dup budget %q", tok)
 			}

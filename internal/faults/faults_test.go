@@ -53,6 +53,8 @@ func TestParseStringRoundTrip(t *testing.T) {
 		{"crash:q,crash:p,crash:q", "crash:p,crash:q"},
 		{"drop:1,dup:1,crash", "crash,drop:1,dup:1"},
 		{"drop:0", "none"},
+		{"NONE", "none"},
+		{"CRASH:P,Drop:1,crash:p", "crash:P,crash:p,drop:1"}, // keywords fold, names keep case
 	}
 	for _, c := range cases {
 		m, err := faults.Parse(c.in)

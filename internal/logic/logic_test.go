@@ -258,21 +258,32 @@ func TestParseErrorsMentionPosition(t *testing.T) {
 	}
 }
 
+// printRoundTripInputs cover every operator family the printer emits;
+// FuzzParse starts from them too.
+var printRoundTripInputs = []string{
+	"b",
+	`"sent(p,m)"`,
+	"!b",
+	"b & true",
+	"b | false -> b",
+	"K{p} K{q} b",
+	"S{p,q} (b & b)",
+	"C b",
+	"K{p} !K{q} \"received(q,m)\"",
+	"b -> b -> b",
+	"AG b",
+	"EX !b",
+	"A[b U !b]",
+	"E[b & b U b -> b]",
+	"Once b",
+	"<> b",
+	"[] b",
+	`AG (K{q} "sent(p,m)" -> Once "received(q,m)")`,
+}
+
 func TestPrintRoundTrip(t *testing.T) {
 	v := vocab()
-	inputs := []string{
-		"b",
-		`"sent(p,m)"`,
-		"!b",
-		"b & true",
-		"b | false -> b",
-		"K{p} K{q} b",
-		"S{p,q} (b & b)",
-		"C b",
-		"K{p} !K{q} \"received(q,m)\"",
-		"b -> b -> b",
-	}
-	for _, in := range inputs {
+	for _, in := range printRoundTripInputs {
 		f := MustParse(in, v)
 		printed := Print(f)
 		re, err := Parse(printed, v)

@@ -38,8 +38,8 @@ func materializations(source, outcome string) *obs.Counter {
 }
 
 // materializeSeconds times successful materializations by source — the
-// server-side cold-start cost the BENCH_*_service records sample from
-// the client side.
+// server-side view of the cold-start cost that perfbench's cold-start
+// workload times from the client side.
 func materializeSeconds(source string) *obs.Histogram {
 	return obs.Default.Histogram("hpld_registry_materialize_seconds",
 		"Time to make a universe resident, by source.",
@@ -55,8 +55,7 @@ func httpRequests(endpoint string, code int) *obs.Counter {
 }
 
 // httpLatency is the end-to-end request latency per endpoint, the
-// server-side truth behind the client-side percentiles in
-// BENCH_*_service.json (cmd/hplbench scrapes it).
+// server-side counterpart of a load client's own percentiles.
 func httpLatency(endpoint string) *obs.Histogram {
 	return obs.Default.Histogram("hpld_http_request_seconds",
 		"End-to-end HTTP request latency, by endpoint.",

@@ -63,8 +63,10 @@ type UniverseSpec struct {
 }
 
 // Canonical returns the spec with every field in normal form: protocol
-// lowercased (empty → "free"), procs and tags trimmed, deduplicated and
-// sorted, defaults made explicit, and negative bounds clamped to zero.
+// and symmetry lowercased (empty → "free", "none"), fault keywords
+// folded (process names keep their case), procs and tags trimmed,
+// deduplicated and sorted, defaults made explicit, and negative bounds
+// clamped to zero.
 // Two specs describe the same universe exactly when their canonical
 // forms are equal, which is what makes Digest a sound cache key.
 func (s UniverseSpec) Canonical() UniverseSpec {
@@ -99,13 +101,12 @@ func (s UniverseSpec) Canonical() UniverseSpec {
 	if out.Symmetry == "" {
 		out.Symmetry = "none"
 	}
-	out.Faults = strings.ToLower(strings.TrimSpace(s.Faults))
-	if out.Faults == "" {
-		out.Faults = "none"
-	}
 	// Equivalent spellings of the same model ("dup:1,crash" vs
-	// "crash,dup:1") canonicalize to one string so they share a digest;
-	// unparsable strings pass through for Validate to report.
+	// "CRASH,dup:1", empty vs "none") canonicalize to one string so they
+	// share a digest. faults.Parse folds only the keywords: process
+	// names keep their case, so "crash:P" and "crash:p" stay distinct.
+	// Unparsable strings pass through for Validate to report.
+	out.Faults = strings.TrimSpace(s.Faults)
 	if m, err := faults.Parse(out.Faults); err == nil {
 		out.Faults = m.String()
 	}

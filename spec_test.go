@@ -50,6 +50,9 @@ func TestSpecDigestSeparates(t *testing.T) {
 		"symmetry":     {Procs: []hpl.ProcID{"p", "q"}, MaxSends: 1, MaxEvents: 4, Symmetry: "full"},
 		"faults":       {Procs: []hpl.ProcID{"p", "q"}, MaxSends: 1, MaxEvents: 4, Faults: "crash"},
 		"faultsDrop":   {Procs: []hpl.ProcID{"p", "q"}, MaxSends: 1, MaxEvents: 4, Faults: "drop:1"},
+		// Fault keywords fold case; process names inside faults do not.
+		"crashLower": {Procs: []hpl.ProcID{"p", "P"}, MaxSends: 1, MaxEvents: 4, Faults: "crash:p"},
+		"crashUpper": {Procs: []hpl.ProcID{"p", "P"}, MaxSends: 1, MaxEvents: 4, Faults: "CRASH:P"},
 	}
 	seen := map[string]string{base.Digest(): "base"}
 	for name, s := range diff {
@@ -219,6 +222,13 @@ func TestSpecFaults(t *testing.T) {
 	s.Faults = "crash:r" // r is not a process of the spec
 	if err := s.Validate(); err == nil {
 		t.Errorf("crash of unknown process validated")
+	}
+	upper := hpl.UniverseSpec{Procs: []hpl.ProcID{"P", "Q"}, MaxSends: 1, MaxEvents: 4, Faults: "crash:P"}
+	if err := upper.Validate(); err != nil {
+		t.Errorf("crash of upper-case process rejected: %v", err)
+	}
+	if c := upper.Canonical(); c.Faults != "crash:P" {
+		t.Errorf("canonical faults = %q, want process name kept as \"crash:P\"", c.Faults)
 	}
 	s = ok
 	s.Symmetry, s.Faults = "full", "crash:p"
