@@ -23,87 +23,59 @@ import (
 // BelieverEvaluator evaluates belief formulas over a universe with a
 // plausibility predicate. Knowledge formulas evaluated through it treat
 // every KnowsF node as belief; atoms and connectives are unchanged.
+//
+// Belief is knowledge of a guarded formula,
+//
+//	(P believes b)  ≡  P knows (plausible ⇒ b),
+//
+// so each query is rewritten to that form and answered by the
+// vectorized Evaluator.
 type BelieverEvaluator struct {
-	u         *universe.Universe
-	plausible Predicate
-	memo      map[string][]uint8
+	e         *Evaluator
+	plausible Formula
 }
 
 // NewBelieverEvaluator builds a belief evaluator; plausible carves the
 // worlds the agents take seriously.
 func NewBelieverEvaluator(u *universe.Universe, plausible Predicate) *BelieverEvaluator {
-	return &BelieverEvaluator{
-		u:         u,
-		plausible: plausible,
-		memo:      make(map[string][]uint8),
-	}
+	return &BelieverEvaluator{e: NewEvaluator(u), plausible: NewAtom(plausible)}
 }
 
 // Universe returns the underlying universe.
-func (e *BelieverEvaluator) Universe() *universe.Universe { return e.u }
+func (e *BelieverEvaluator) Universe() *universe.Universe { return e.e.Universe() }
 
 // HoldsAt evaluates f at member i, reading KnowsF as belief.
 func (e *BelieverEvaluator) HoldsAt(f Formula, i int) bool {
-	key := "B:" + f.Key()
-	vec, ok := e.memo[key]
-	if !ok {
-		vec = make([]uint8, e.u.Len())
-		e.memo[key] = vec
-	}
-	switch vec[i] {
-	case 1:
-		return true
-	case 2:
-		return false
-	}
-	v := e.eval(f, i)
-	if v {
-		vec[i] = 1
-	} else {
-		vec[i] = 2
-	}
-	return v
-}
-
-func (e *BelieverEvaluator) eval(f Formula, i int) bool {
-	switch f := f.(type) {
-	case ConstF:
-		return f.Value
-	case Atom:
-		return f.Pred.Holds(e.u.At(i))
-	case NotF:
-		return !e.HoldsAt(f.F, i)
-	case AndF:
-		return e.HoldsAt(f.L, i) && e.HoldsAt(f.R, i)
-	case OrF:
-		return e.HoldsAt(f.L, i) || e.HoldsAt(f.R, i)
-	case ImpliesF:
-		return !e.HoldsAt(f.L, i) || e.HoldsAt(f.R, i)
-	case KnowsF:
-		for _, j := range e.u.ClassRef(e.u.At(i), f.P) {
-			if !e.plausible.Holds(e.u.At(j)) {
-				continue
-			}
-			if !e.HoldsAt(f.F, j) {
-				return false
-			}
-		}
-		return true
-	case SureF:
-		return e.HoldsAt(Knows(f.P, f.F), i) || e.HoldsAt(Knows(f.P, Not(f.F)), i)
-	default:
-		panic(fmt.Sprintf("knowledge: belief evaluator does not support %T", f))
-	}
+	return e.e.HoldsAt(e.asKnowledge(f), i)
 }
 
 // Valid reports whether f holds at every member.
 func (e *BelieverEvaluator) Valid(f Formula) bool {
-	for i := 0; i < e.u.Len(); i++ {
-		if !e.HoldsAt(f, i) {
-			return false
-		}
+	return e.e.Valid(e.asKnowledge(f))
+}
+
+// asKnowledge rewrites every belief in f to knowledge of its guarded
+// form. Common knowledge and the temporal operators have no belief
+// reading here and panic.
+func (e *BelieverEvaluator) asKnowledge(f Formula) Formula {
+	switch f := f.(type) {
+	case ConstF, Atom:
+		return f
+	case NotF:
+		return Not(e.asKnowledge(f.F))
+	case AndF:
+		return And(e.asKnowledge(f.L), e.asKnowledge(f.R))
+	case OrF:
+		return Or(e.asKnowledge(f.L), e.asKnowledge(f.R))
+	case ImpliesF:
+		return Implies(e.asKnowledge(f.L), e.asKnowledge(f.R))
+	case KnowsF:
+		return Knows(f.P, Implies(e.plausible, e.asKnowledge(f.F)))
+	case SureF:
+		return Or(e.asKnowledge(Knows(f.P, f.F)), e.asKnowledge(Knows(f.P, Not(f.F))))
+	default:
+		panic(fmt.Sprintf("knowledge: belief evaluator does not support %T", f))
 	}
-	return true
 }
 
 // BeliefReport summarizes which knowledge facts survive the move to
@@ -132,7 +104,7 @@ func AnalyzeBelief(e *BelieverEvaluator, p trace.ProcSet, b Formula) BeliefRepor
 		ConsistencyCounterIndex:  -1,
 	}
 	bb := Knows(p, b)
-	for i := 0; i < e.u.Len(); i++ {
+	for i := 0; i < e.Universe().Len(); i++ {
 		if e.HoldsAt(bb, i) && !e.HoldsAt(b, i) && rep.VeridicalityHolds {
 			rep.VeridicalityHolds = false
 			rep.VeridicalityCounterIndex = i

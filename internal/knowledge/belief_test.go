@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hpl/internal/trace"
+	"hpl/internal/universe"
 )
 
 // optimisticPlausibility: agents consider plausible only worlds where no
@@ -105,5 +106,76 @@ func TestBeliefSureOperator(t *testing.T) {
 	if !be.Valid(f) {
 		t.Fatalf("optimistic q must always be belief-sure of quiescence")
 	}
-	_ = trace.Empty()
+}
+
+// beliefByDefinition evaluates f at member i straight from the
+// definition of belief: (P believes F) at i iff F holds at every
+// plausible j ∈ [P]-class of i. No memo, no rewrite.
+func beliefByDefinition(u *universe.Universe, plausible Predicate, f Formula, i int) bool {
+	holds := func(g Formula, j int) bool { return beliefByDefinition(u, plausible, g, j) }
+	switch f := f.(type) {
+	case ConstF:
+		return f.Value
+	case Atom:
+		return f.Pred.Holds(u.At(i))
+	case NotF:
+		return !holds(f.F, i)
+	case AndF:
+		return holds(f.L, i) && holds(f.R, i)
+	case OrF:
+		return holds(f.L, i) || holds(f.R, i)
+	case ImpliesF:
+		return !holds(f.L, i) || holds(f.R, i)
+	case KnowsF:
+		for _, j := range u.ClassRef(u.At(i), f.P) {
+			if plausible.Holds(u.At(j)) && !holds(f.F, j) {
+				return false
+			}
+		}
+		return true
+	case SureF:
+		return holds(Knows(f.P, f.F), i) || holds(Knows(f.P, Not(f.F)), i)
+	}
+	panic("beliefByDefinition: unsupported formula")
+}
+
+func TestBelieverEvaluatorMatchesDefinition(t *testing.T) {
+	free, err := universe.EnumerateWith(universe.NewFree(universe.FreeConfig{
+		Procs:    []trace.ProcID{"p", "q"},
+		MaxSends: 2,
+	}), universe.WithMaxEvents(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewAtom(SentTag("p", "m"))
+	c := NewAtom(ReceivedTag("q", "m"))
+	formulas := []Formula{
+		b,
+		Knows(ps("q"), b),
+		Knows(ps("p"), Knows(ps("q"), b)),
+		Knows(ps("q"), Not(Knows(ps("p"), c))),
+		Knows(ps("p", "q"), Implies(b, c)),
+		Sure(ps("q"), b),
+		Sure(ps("p"), Knows(ps("q"), b)),
+		And(Not(Knows(ps("q"), b)), Or(c, Sure(ps("p"), c))),
+	}
+	plausibilities := []Predicate{
+		Constant(true),
+		Constant(false),
+		NoMessagesInFlight(),
+		ReceivedTag("q", "m"),
+	}
+	for _, u := range []*universe.Universe{pingPong(t), free} {
+		for _, pl := range plausibilities {
+			be := NewBelieverEvaluator(u, pl)
+			for _, f := range formulas {
+				for i := 0; i < u.Len(); i++ {
+					if got, want := be.HoldsAt(f, i), beliefByDefinition(u, pl, f, i); got != want {
+						t.Fatalf("%d members, plausible=%s: %v at %d = %v, definition gives %v",
+							u.Len(), pl.Name(), f, i, got, want)
+					}
+				}
+			}
+		}
+	}
 }

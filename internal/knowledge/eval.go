@@ -28,10 +28,11 @@ import (
 // An Evaluator is safe for concurrent use: queries serialize on an
 // internal lock, and the partition tables they share are built
 // goroutine-safely by the universe. The per-member evaluation paths
-// are kept as ablation baselines and differential oracles — see
-// MemberEvaluator and EvalNaive, and the benchmarks
-// BenchmarkAblationVectorizedEval and BenchmarkAblationTemporalEval at
-// the repository root.
+// are differential oracles and ablation baselines — see MemberEvaluator
+// and EvalNaive, and the benchmarks BenchmarkAblationVectorizedEval and
+// BenchmarkAblationTemporalEval at the repository root — and
+// MemberEvaluator also evaluates relations other than projection
+// equality (package stateiso).
 type Evaluator struct {
 	u *universe.Universe
 
@@ -144,9 +145,11 @@ func (e *Evaluator) IsConstant(f Formula) bool {
 }
 
 // vectorOf interns f and returns its memoized truth vector. The
-// returned bitset is shared and read-only; the lock covers only the
-// intern-and-evaluate step, so concurrent queries serialize on vector
-// construction but read completed vectors without contention.
+// returned bitset is shared and read-only. Every call takes e.mu, memo
+// hits included, because interning walks and extends the shared node
+// table: one lock per universe, so concurrent queries on one Evaluator
+// serialize, and only reading a vector after vectorOf returns is free
+// of contention.
 func (e *Evaluator) vectorOf(f Formula) bitset {
 	e.mu.Lock()
 	defer e.mu.Unlock()

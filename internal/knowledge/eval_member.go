@@ -8,24 +8,42 @@ import (
 	"hpl/internal/universe"
 )
 
-// MemberEvaluator is the per-member recursive evaluator the vectorized
-// Evaluator replaced: it interprets formulas one member at a time,
-// memoizing lazily-filled truth vectors keyed by Key() strings. It is
-// kept as an ablation baseline (BenchmarkAblationVectorizedEval) and as
-// an independent oracle for the differential tests; new code should use
-// Evaluator.
+// MemberEvaluator interprets formulas one member at a time, memoizing
+// lazily-filled truth vectors keyed by Key() strings. Its one parameter
+// is the isomorphism relation, given as a class function: with the
+// universe's projection classes (NewMemberEvaluator) it is the
+// independent oracle the differential tests check Evaluator against and
+// the baseline of BenchmarkAblationVectorizedEval; with any other
+// equivalence (NewMemberEvaluatorWith) it is the engine for relations
+// the vectorized Evaluator has no partition tables for, such as the §6
+// state-based isomorphism of package stateiso.
 //
 // A MemberEvaluator is NOT safe for concurrent use.
 type MemberEvaluator struct {
 	u *universe.Universe
+	// class lists the members isomorphic to member i with respect to P;
+	// KnowsF and the common-knowledge fixpoint quantify over it.
+	class func(i int, p trace.ProcSet) []int
 	// memo maps formula key to the truth vector over members; entries in
 	// a vector are lazily filled (0 unknown, 1 true, 2 false).
 	memo map[string][]uint8
 }
 
-// NewMemberEvaluator builds a per-member evaluator over the universe.
+// NewMemberEvaluator builds a per-member evaluator over the universe
+// under the paper's computation isomorphism (equal projections).
 func NewMemberEvaluator(u *universe.Universe) *MemberEvaluator {
-	return &MemberEvaluator{u: u, memo: make(map[string][]uint8)}
+	return NewMemberEvaluatorWith(u, func(i int, p trace.ProcSet) []int {
+		return u.ClassRef(u.At(i), p)
+	})
+}
+
+// NewMemberEvaluatorWith builds a per-member evaluator whose knowledge
+// operators quantify over class(i, P). class must be an equivalence:
+// the classes it returns partition the members for each P, and every
+// member lies in its own class. The returned slices are read, never
+// written.
+func NewMemberEvaluatorWith(u *universe.Universe, class func(i int, p trace.ProcSet) []int) *MemberEvaluator {
+	return &MemberEvaluator{u: u, class: class, memo: make(map[string][]uint8)}
 }
 
 // Universe returns the evaluator's universe.
@@ -72,7 +90,7 @@ func (e *MemberEvaluator) eval(f Formula, i int) bool {
 	case ImpliesF:
 		return !e.HoldsAt(f.L, i) || e.HoldsAt(f.R, i)
 	case KnowsF:
-		for _, j := range e.u.ClassRef(e.u.At(i), f.P) {
+		for _, j := range e.class(i, f.P) {
 			if !e.HoldsAt(f.F, j) {
 				return false
 			}
@@ -138,8 +156,9 @@ func (e *MemberEvaluator) commonAt(f CommonF, i int) bool {
 	classes := make([][][]int, len(procs))
 	for pi, p := range procs {
 		classes[pi] = make([][]int, n)
+		sp := trace.Singleton(p)
 		for j := 0; j < n; j++ {
-			classes[pi][j] = e.u.ClassRef(e.u.At(j), trace.Singleton(p))
+			classes[pi][j] = e.class(j, sp)
 		}
 	}
 	for changed := true; changed; {

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"hpl/internal/sim"
@@ -609,12 +608,4 @@ func analyse(comp *trace.Computation, sh *shared) Result {
 // message — plain for DS/quiet runs, weight-carrying for credit runs.
 func IsBasicTag(tag string) bool {
 	return tag == TagBasic || strings.HasPrefix(tag, TagBasic+":")
-}
-
-// SortedProcs returns the topology's processes in canonical order (for
-// deterministic reporting).
-func (t Topology) SortedProcs() []trace.ProcID {
-	cp := append([]trace.ProcID(nil), t.Procs...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	return cp
 }

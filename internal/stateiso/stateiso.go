@@ -98,27 +98,25 @@ func LastEvent() Abstraction {
 }
 
 // Evaluator evaluates knowledge formulas under state-based isomorphism
-// over a universe. It mirrors knowledge.Evaluator with the abstract
-// relation substituted for projection equality.
+// over a universe: a knowledge.MemberEvaluator whose classes are the
+// abstract relation's instead of projection equality's.
 type Evaluator struct {
-	u   *universe.Universe
 	abs Abstraction
 	// stateKeys[i][p] is the abstract state of process p at member i.
 	stateKeys []map[trace.ProcID]string
 	// classes[P.Key()][combined-state-key] lists member indexes.
 	classes map[string]map[string][]int
-	memo    map[string][]uint8
+	me      *knowledge.MemberEvaluator
 }
 
 // NewEvaluator builds a state-based evaluator.
 func NewEvaluator(u *universe.Universe, abs Abstraction) *Evaluator {
 	e := &Evaluator{
-		u:         u,
 		abs:       abs,
 		stateKeys: make([]map[trace.ProcID]string, u.Len()),
 		classes:   make(map[string]map[string][]int),
-		memo:      make(map[string][]uint8),
 	}
+	e.me = knowledge.NewMemberEvaluatorWith(u, e.Class)
 	procs := u.All().IDs()
 	for i := 0; i < u.Len(); i++ {
 		c := u.At(i)
@@ -132,7 +130,7 @@ func NewEvaluator(u *universe.Universe, abs Abstraction) *Evaluator {
 }
 
 // Universe returns the underlying universe.
-func (e *Evaluator) Universe() *universe.Universe { return e.u }
+func (e *Evaluator) Universe() *universe.Universe { return e.me.Universe() }
 
 // Abstraction returns the evaluator's abstraction.
 func (e *Evaluator) Abstraction() Abstraction { return e.abs }
@@ -156,7 +154,7 @@ func (e *Evaluator) Class(i int, p trace.ProcSet) []int {
 	idx, ok := e.classes[key]
 	if !ok {
 		idx = make(map[string][]int)
-		for j := 0; j < e.u.Len(); j++ {
+		for j := 0; j < e.Universe().Len(); j++ {
 			sk := e.stateKeyOf(j, p)
 			idx[sk] = append(idx[sk], j)
 		}
@@ -170,113 +168,13 @@ func (e *Evaluator) Isomorphic(i, j int, p trace.ProcSet) bool {
 	return e.stateKeyOf(i, p) == e.stateKeyOf(j, p)
 }
 
-// HoldsAt evaluates a knowledge formula at member i under the abstract
-// relation. Knows/Sure/Common quantify over abstract classes.
-func (e *Evaluator) HoldsAt(f knowledge.Formula, i int) bool {
-	key := f.Key()
-	vec, ok := e.memo[key]
-	if !ok {
-		vec = make([]uint8, e.u.Len())
-		e.memo[key] = vec
-	}
-	switch vec[i] {
-	case 1:
-		return true
-	case 2:
-		return false
-	}
-	v := e.eval(f, i)
-	vec = e.memo[key]
-	if v {
-		vec[i] = 1
-	} else {
-		vec[i] = 2
-	}
-	return v
-}
-
-func (e *Evaluator) eval(f knowledge.Formula, i int) bool {
-	switch f := f.(type) {
-	case knowledge.ConstF:
-		return f.Value
-	case knowledge.Atom:
-		return f.Pred.Holds(e.u.At(i))
-	case knowledge.NotF:
-		return !e.HoldsAt(f.F, i)
-	case knowledge.AndF:
-		return e.HoldsAt(f.L, i) && e.HoldsAt(f.R, i)
-	case knowledge.OrF:
-		return e.HoldsAt(f.L, i) || e.HoldsAt(f.R, i)
-	case knowledge.ImpliesF:
-		return !e.HoldsAt(f.L, i) || e.HoldsAt(f.R, i)
-	case knowledge.KnowsF:
-		for _, j := range e.Class(i, f.P) {
-			if !e.HoldsAt(f.F, j) {
-				return false
-			}
-		}
-		return true
-	case knowledge.SureF:
-		return e.HoldsAt(knowledge.Knows(f.P, f.F), i) ||
-			e.HoldsAt(knowledge.Knows(f.P, knowledge.Not(f.F)), i)
-	case knowledge.CommonF:
-		return e.commonAt(f, i)
-	default:
-		panic(fmt.Sprintf("stateiso: unknown formula type %T", f))
-	}
-}
-
-func (e *Evaluator) commonAt(f knowledge.CommonF, i int) bool {
-	key := f.Key()
-	n := e.u.Len()
-	in := make([]bool, n)
-	for j := 0; j < n; j++ {
-		in[j] = e.HoldsAt(f.F, j)
-	}
-	procs := e.u.All().IDs()
-	for changed := true; changed; {
-		changed = false
-		for j := 0; j < n; j++ {
-			if !in[j] {
-				continue
-			}
-			for _, p := range procs {
-				ok := true
-				for _, k := range e.Class(j, trace.Singleton(p)) {
-					if !in[k] {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					in[j] = false
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	vec := make([]uint8, n)
-	for j := 0; j < n; j++ {
-		if in[j] {
-			vec[j] = 1
-		} else {
-			vec[j] = 2
-		}
-	}
-	e.memo[key] = vec
-	return in[i]
-}
+// HoldsAt evaluates a formula at member i under the abstract relation:
+// Knows/Sure/Common quantify over abstract classes, temporal operators
+// walk the universe's transition graph.
+func (e *Evaluator) HoldsAt(f knowledge.Formula, i int) bool { return e.me.HoldsAt(f, i) }
 
 // Valid reports whether f holds at every member.
-func (e *Evaluator) Valid(f knowledge.Formula) bool {
-	for i := 0; i < e.u.Len(); i++ {
-		if !e.HoldsAt(f, i) {
-			return false
-		}
-	}
-	return true
-}
+func (e *Evaluator) Valid(f knowledge.Formula) bool { return e.me.Valid(f) }
 
 // --- Checks: what survives abstraction ---
 
@@ -286,7 +184,7 @@ func (e *Evaluator) Valid(f knowledge.Formula) bool {
 // is still an equivalence.
 func CheckEquivalenceFacts(e *Evaluator, p, q trace.ProcSet, b, b2 knowledge.Formula) error {
 	kb := knowledge.Knows(p, b)
-	for i := 0; i < e.u.Len(); i++ {
+	for i := 0; i < e.Universe().Len(); i++ {
 		// Fact 2: invariance within the class.
 		for _, j := range e.Class(i, p) {
 			if e.HoldsAt(kb, i) != e.HoldsAt(kb, j) {
@@ -352,7 +250,7 @@ type Lemma4Violation struct {
 // nil when the law holds throughout the universe (e.g. for FullHistory).
 func FindLemma4Violation(e *Evaluator, p trace.ProcSet, b knowledge.Formula) *Lemma4Violation {
 	kb := knowledge.Knows(p, b)
-	u := e.u
+	u := e.Universe()
 	for i := 0; i < u.Len(); i++ {
 		xe := u.At(i)
 		if xe.Len() == 0 {

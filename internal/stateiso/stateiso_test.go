@@ -50,6 +50,9 @@ func TestFullHistoryKnowledgeMatches(t *testing.T) {
 		knowledge.Knows(ps("p"), knowledge.Knows(ps("q"), b)),
 		knowledge.Sure(ps("q"), b),
 		knowledge.Common(knowledge.True),
+		knowledge.Common(b),
+		knowledge.AG(knowledge.Implies(knowledge.Knows(ps("q"), b),
+			knowledge.Once(knowledge.NewAtom(knowledge.ReceivedTag("q", "m"))))),
 	}
 	for _, f := range formulas {
 		for i := 0; i < u.Len(); i++ {

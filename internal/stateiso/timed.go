@@ -104,7 +104,7 @@ func RoundDone(procs []trace.ProcID, k int) knowledge.Predicate {
 func CommonKnowledgeGained(e *Evaluator, f knowledge.Formula) []int {
 	ck := knowledge.Common(f)
 	var out []int
-	for i := 0; i < e.u.Len(); i++ {
+	for i := 0; i < e.Universe().Len(); i++ {
 		if e.HoldsAt(ck, i) {
 			out = append(out, i)
 		}
